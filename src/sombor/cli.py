@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .chem import load_dataset, octane_dataset_path, parse_alkane_smiles
-from .enumeration import (argmax_so2, enumerate_molecular_trees,
+from .enumeration import (argmax_so2, count_trees, enumerate_molecular_trees,
                           enumerate_trees)
 from .extremal import (build_family_member, molecular_so2_max,
                        tree_so2_bounds, verify_extremal_bounds)
@@ -76,10 +76,10 @@ def _cmd_compute(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> list[str]:
+    if args.emit == "count":
+        return [str(count_trees(args.n, molecular=args.molecular))]
     stream = (enumerate_molecular_trees(args.n) if args.molecular
               else enumerate_trees(args.n))
-    if args.emit == "count":
-        return [str(sum(1 for _ in stream))]
     return [_edge_string(g) if g.edge_count else "(no edges)" for g in stream]
 
 

@@ -1,4 +1,5 @@
-"""Exhaustive generation of pairwise non-isomorphic free trees.
+"""Exhaustive generation of pairwise non-isomorphic free trees, and
+exact so2 extremes evaluated on their canonical shapes.
 
 Canonical construction via centroid decomposition: a free tree either
 has a unique centroid vertex (every component of T - c has at most
@@ -14,23 +15,52 @@ A maximum-degree cap is applied while generating (branch nodes get at
 most cap-1 children, the centroid at most cap), so restricting to
 molecular trees (degree <= 4) never touches the larger unrestricted
 space.
+
+so2 is a sum of per-edge terms that depend only on the endpoint
+degrees, so it is evaluated on the shapes themselves.  Each branch
+carries its shape, its max degree and the so2 of its own edges, scaled
+by L = lcm(i^2 + j^2) over the degree pairs i + j <= n possible at
+order n, which makes every edge term an integer.  A tree's value is
+then an integer sum over the centroid's branches (or the two halves and
+the bridging edge), divided by L once.  Only the trees a caller asks
+for -- the streamed ones, or the attainers of an extreme -- are built
+as ``Graph``s.  The same generator drives the ``Graph`` streams, the
+counts and the so2 scans, so all of them see the same trees in the same
+order with the same vertex labels.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .graphs import Graph
-from .indices import so2
+# so2 stays importable from this module
+from .indices import _so2_term, so2  # noqa: F401
 
 DEFAULT_MAX_N = 18
 
-# a Shape is a tuple of child Shapes, sorted in decreasing tuple order;
-# () is a single vertex
+# a Shape is a tuple of child Shapes, sorted decreasingly by (size,
+# shape); () is a single vertex
 Shape = tuple
+
+
+class _Branch(NamedTuple):
+    """A rooted subtree, seen from a parent it hangs from: its degrees
+    count the edge to that parent, which its ``so2`` leaves out."""
+
+    shape: Shape
+    so2: int  # scaled so2 of the edges inside the branch
+    degree: int  # of the root
+    max_degree: int
+
+
+# a generated tree: (branches below the centroid vertex, None), or
+# (half, other half) across the centroid edge
+_Tree = tuple
 
 
 def enumeration_cap() -> int:
@@ -48,19 +78,51 @@ def enumeration_cap() -> int:
 
 
 @lru_cache(maxsize=None)
-def _branches(size: int, max_children: Optional[int]) -> tuple[Shape, ...]:
-    """All canonical branch shapes with `size` nodes in which every node
-    has at most `max_children` children (None = unbounded)."""
+def _edge_terms(order: int, max_degree: Optional[int]
+                ) -> tuple[int, tuple[tuple[Optional[int], ...], ...]]:
+    """The scale L of the trees on `order` vertices with degrees at most
+    `max_degree` (None = unbounded), and ``terms[i][j]`` = L times the
+    so2 term of an edge between degrees i and j.  Pairs with i + j >
+    order cannot be adjacent in such a tree and are None."""
+    top = order - 1 if max_degree is None else min(max_degree, order - 1)
+    pairs = [(i, j) for i in range(1, top + 1)
+             for j in range(1, min(top, order - i) + 1)]
+    scale = math.lcm(*(i * i + j * j for i, j in pairs))
+    terms = [[None] * (top + 1) for _ in range(top + 1)]
+    for i, j in pairs:
+        term = _so2_term(i, j) * scale
+        assert term.denominator == 1
+        terms[i][j] = term.numerator
+    return scale, tuple(map(tuple, terms))
+
+
+@lru_cache(maxsize=None)
+def _branches(size: int, max_children: Optional[int],
+              order: int) -> tuple[_Branch, ...]:
+    """All canonical branches with `size` nodes in which every node has
+    at most `max_children` children (None = unbounded), their so2 scaled
+    for trees on `order` vertices."""
     if size == 1:
-        return ((),)
+        return (_Branch((), 0, 1, 1),)
+    _, terms = _edge_terms(order, None if max_children is None
+                           else max_children + 1)
     cap = size - 1 if max_children is None else min(max_children, size - 1)
-    return tuple(parts for parts in _part_multisets(size - 1, size - 1, cap,
-                                                    max_children, None))
+    out = []
+    for children in _multisets(size - 1, size - 1, cap, max_children, order,
+                               None):
+        degree = len(children) + 1
+        row = terms[degree]
+        out.append(_Branch(
+            tuple(c.shape for c in children),
+            sum(c.so2 + row[c.degree] for c in children),
+            degree,
+            max(degree, *(c.max_degree for c in children))))
+    return tuple(out)
 
 
-def _part_multisets(total: int, max_size: int, max_parts: int,
-                    max_children: Optional[int],
-                    bound: Optional[Shape]) -> Iterator[tuple[Shape, ...]]:
+def _multisets(total: int, max_size: int, max_parts: int,
+               max_children: Optional[int], order: int,
+               bound: Optional[_Branch]) -> Iterator[tuple[_Branch, ...]]:
     """Multisets of branches with the given total size, emitted as tuples
     sorted decreasingly by (size, shape); `bound` caps the first element."""
     if total == 0:
@@ -70,51 +132,76 @@ def _part_multisets(total: int, max_size: int, max_parts: int,
         return
     start = min(max_size, total)
     for s in range(start, 0, -1):
-        for shape in _branches(s, max_children):
-            if bound is not None and s == max_size and shape > bound:
+        for branch in _branches(s, max_children, order):
+            if (bound is not None and s == max_size
+                    and branch.shape > bound.shape):
                 continue
-            for rest in _part_multisets(total - s, s, max_parts - 1,
-                                        max_children, shape):
-                yield (shape,) + rest
+            for rest in _multisets(total - s, s, max_parts - 1,
+                                   max_children, order, branch):
+                yield (branch,) + rest
 
 
-def _shape_to_edges(shape: Shape, root: int, counter: list[int],
-                    edges: list[tuple[int, int]]) -> None:
-    for child in shape:
-        counter[0] += 1
-        cid = counter[0]
-        edges.append((root, cid))
-        _shape_to_edges(child, cid, counter, edges)
-
-
-def _assemble(n: int, parts: tuple[Shape, ...],
-              second_root: Optional[Shape] = None) -> Graph:
-    edges: list[tuple[int, int]] = []
-    counter = [0]
-    _shape_to_edges(parts, 0, counter, edges)
-    if second_root is not None:
-        counter[0] += 1
-        other = counter[0]
-        edges.append((0, other))
-        _shape_to_edges(second_root, other, counter, edges)
-    return Graph.from_edges(n, edges)
-
-
-def _free_trees(n: int, max_degree: Optional[int]) -> Iterator[Graph]:
-    if n == 1:
-        yield Graph(1, ((),))
-        return
+def _trees(n: int, max_degree: Optional[int]) -> Iterator[_Tree]:
+    """Every tree on n vertices with degrees at most `max_degree`, once
+    per isomorphism class, in a fixed order."""
     root_cap = n - 1 if max_degree is None else max_degree
     child_cap = None if max_degree is None else max_degree - 1
     # unique-centroid trees: all branches strictly smaller than n/2
-    for parts in _part_multisets(n - 1, (n - 1) // 2, root_cap, child_cap, None):
-        yield _assemble(n, parts)
+    for parts in _multisets(n - 1, (n - 1) // 2, root_cap, child_cap, n,
+                            None):
+        yield parts, None
     # centroid-edge trees: unordered pairs of half-size branches
     if n % 2 == 0:
-        halves = _branches(n // 2, child_cap)
+        halves = _branches(n // 2, child_cap, n)
         for i, a in enumerate(halves):
             for b in halves[i:]:
-                yield _assemble(n, a, second_root=b)
+                yield a, b
+
+
+def _scored_trees(n: int, max_degree: Optional[int]
+                  ) -> Iterator[tuple[int, int, _Tree]]:
+    """(L * so2, max degree, tree) for every tree of `_trees`."""
+    _, terms = _edge_terms(n, max_degree)
+    for tree in _trees(n, max_degree):
+        first, second = tree
+        if second is None:
+            row = terms[len(first)]
+            value, top = 0, len(first)
+            for b in first:
+                value += b.so2 + row[b.degree]
+                if b.max_degree > top:
+                    top = b.max_degree
+        else:
+            value = first.so2 + second.so2 + terms[first.degree][second.degree]
+            top = max(first.max_degree, second.max_degree)
+        yield value, top, tree
+
+
+def _attach(shape: Shape, parent: int, counter: list[int],
+            edges: list[tuple[int, int]]) -> None:
+    """Label the root of `shape` with the next vertex id, join it to
+    `parent`, then label its subtrees depth first."""
+    counter[0] += 1
+    root = counter[0]
+    edges.append((parent, root))
+    for child in shape:
+        _attach(child, root, counter, edges)
+
+
+def _graph(n: int, tree: _Tree) -> Graph:
+    """The tree rooted at vertex 0, the centroid (or the first half's
+    root), with vertices numbered in depth-first order."""
+    first, second = tree
+    edges: list[tuple[int, int]] = []
+    counter = [0]
+    if second is None:
+        for branch in first:
+            _attach(branch.shape, 0, counter, edges)
+    else:
+        for child in first.shape:
+            _attach(child, 0, counter, edges)
+        _attach(second.shape, 0, counter, edges)
+    return Graph.from_edges(n, edges)
 
 
 def _check_n(n: int, max_n: Optional[int]) -> None:
@@ -128,7 +215,7 @@ def _check_n(n: int, max_n: Optional[int]) -> None:
 def enumerate_trees(n: int, *, max_n: Optional[int] = None) -> Iterator[Graph]:
     """Stream every free tree on n vertices, one per isomorphism class."""
     _check_n(n, max_n)
-    return _free_trees(n, None)
+    return (_graph(n, tree) for tree in _trees(n, None))
 
 
 def enumerate_molecular_trees(n: int, *,
@@ -136,25 +223,73 @@ def enumerate_molecular_trees(n: int, *,
     """Stream every tree on n vertices with maximum degree at most four,
     one per isomorphism class."""
     _check_n(n, max_n)
-    return _free_trees(n, 4)
+    return (_graph(n, tree) for tree in _trees(n, 4))
+
+
+def count_trees(n: int, *, molecular: bool = False) -> int:
+    """Number of trees `enumerate_trees` (or, with `molecular`,
+    `enumerate_molecular_trees`) streams, counted without building them."""
+    _check_n(n, None)
+    return sum(1 for _ in _trees(n, 4 if molecular else None))
+
+
+class _Extreme:
+    """Running extreme of scaled so2 values, with every attaining tree in
+    stream order."""
+
+    def __init__(self, sign: int) -> None:
+        self.sign = sign  # +1 tracks the maximum, -1 the minimum
+        self.best: Optional[int] = None
+        self.trees: list[_Tree] = []
+
+    def offer(self, value: int, tree: _Tree) -> None:
+        if self.best is None or (value - self.best) * self.sign > 0:
+            self.best = value
+            self.trees = [tree]
+        elif value == self.best:
+            self.trees.append(tree)
+
+    def result(self, n: int, scale: int) -> tuple[Fraction, list[Graph]]:
+        assert self.best is not None
+        return (Fraction(self.best, scale),
+                [_graph(n, tree) for tree in self.trees])
+
+
+class So2Extremes(NamedTuple):
+    """Exact so2 extremes over the free trees of one order, each with
+    every attaining tree."""
+
+    minimum: tuple[Fraction, list[Graph]]
+    maximum: tuple[Fraction, list[Graph]]
+    molecular_maximum: tuple[Fraction, list[Graph]]
+
+
+def so2_extremes(n: int) -> So2Extremes:
+    """Minimum and maximum of so2 over all trees on n vertices, and its
+    maximum over the molecular ones (degree <= 4), from a single pass.
+    Each agrees with `argmin_so2`/`argmax_so2`, attainers and order
+    included."""
+    _check_n(n, None)
+    low, high, molecular = _Extreme(-1), _Extreme(+1), _Extreme(+1)
+    for value, top, tree in _scored_trees(n, None):
+        low.offer(value, tree)
+        high.offer(value, tree)
+        if top <= 4:
+            molecular.offer(value, tree)
+    scale, _ = _edge_terms(n, None)
+    return So2Extremes(low.result(n, scale), high.result(n, scale),
+                       molecular.result(n, scale))
 
 
 def _extreme_so2(n: int, molecular: bool, max_n: Optional[int],
-                 better: int) -> tuple[Fraction, list[Graph]]:
-    stream = (enumerate_molecular_trees(n, max_n=max_n) if molecular
-              else enumerate_trees(n, max_n=max_n))
-    best: Optional[Fraction] = None
-    attaining: list[Graph] = []
-    for g in stream:
-        value = so2(g).exact
-        assert value is not None
-        if best is None or (value > best if better > 0 else value < best):
-            best = value
-            attaining = [g]
-        elif value == best:
-            attaining.append(g)
-    assert best is not None
-    return best, attaining
+                 sign: int) -> tuple[Fraction, list[Graph]]:
+    _check_n(n, max_n)
+    max_degree = 4 if molecular else None
+    extreme = _Extreme(sign)
+    for value, _, tree in _scored_trees(n, max_degree):
+        extreme.offer(value, tree)
+    scale, _ = _edge_terms(n, max_degree)
+    return extreme.result(n, scale)
 
 
 def argmax_so2(n: int, *, molecular: bool = False,

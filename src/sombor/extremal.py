@@ -7,7 +7,10 @@ depends on n mod 4 and is attained by four structural families, one per
 residue class.  This module builds canonical members of those families,
 tests membership, evaluates the closed-form bounds, carries the linear
 system tying the edge-type counts m_ij of a molecular tree together,
-and cross-checks all of it against exhaustive enumeration.
+and cross-checks all of it against exhaustive enumeration.  The
+cross-check makes one pass over the free trees of each order, with so2
+evaluated exactly on the enumerator's canonical shapes; only the trees
+attaining an extreme are built as graphs and tested for membership.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from typing import NamedTuple, Optional
 
 from .graphs import Graph, EdgeTypeProfile, degrees, edge_type_profile, \
     is_molecular_tree
-from .enumeration import argmax_so2, argmin_so2
+# argmax_so2 and argmin_so2 stay importable from this module
+from .enumeration import argmax_so2, argmin_so2, so2_extremes  # noqa: F401
 
 
 def build_path(n: int) -> Graph:
@@ -357,19 +361,24 @@ def verify_extremal_bounds(n_max: int) -> VerificationReport:
     """Brute-force check, for every 3 <= n <= n_max, that the closed-form
     extremal values and their attaining trees match exhaustive
     enumeration exactly.  Violations become report entries, not errors.
+
+    Each n takes one pass over the free trees (`so2_extremes`), which
+    yields the minimum, the maximum and the molecular maximum together;
+    only their attainers are built as graphs and checked structurally.
     """
     checks: list[BoundCheck] = []
     for n in range(3, n_max + 1):
         lower, upper = tree_so2_bounds(n)
+        extremes = so2_extremes(n)
 
-        min_value, minimizers = argmin_so2(n)
+        min_value, minimizers = extremes.minimum
         ok = (min_value == lower and len(minimizers) == 1
               and _is_path(minimizers[0]))
         checks.append(BoundCheck(
             n, "tree_min", ok,
             f"min={min_value} expected={lower} attained_by={len(minimizers)}"))
 
-        max_value, maximizers = argmax_so2(n)
+        max_value, maximizers = extremes.maximum
         ok = (max_value == upper and len(maximizers) == 1
               and _is_star(maximizers[0]))
         checks.append(BoundCheck(
@@ -379,7 +388,7 @@ def verify_extremal_bounds(n_max: int) -> VerificationReport:
         if n < 5:
             continue
         expected = molecular_so2_max(n)
-        mol_value, mol_maximizers = argmax_so2(n, molecular=True)
+        mol_value, mol_maximizers = extremes.molecular_maximum
         checks.append(BoundCheck(
             n, "molecular_max", mol_value == expected,
             f"max={mol_value} expected={expected} attained_by={len(mol_maximizers)}"))

@@ -75,9 +75,9 @@ def test_criterion_3_molecular_maximum_brute_force():
     start = time.perf_counter()
     ok = True
     degenerate_notes = []
-    for n in range(5, 15):
+    for n in range(5, 20):
         expected = molecular_so2_max(n)
-        value, maximizers = argmax_so2(n, molecular=True)
+        value, maximizers = argmax_so2(n, molecular=True, max_n=19)
         ok &= value == expected
         residue = n % 4
         ok &= all(is_in_family(g, residue) for g in maximizers)
@@ -95,7 +95,7 @@ def test_criterion_3_molecular_maximum_brute_force():
     elapsed = time.perf_counter() - start
     ok &= elapsed < 120.0
     _report(3, "molecular maximum equals the closed form with all "
-               "maximizers in the residue family, for 5 <= n <= 14",
+               "maximizers in the residue family, for 5 <= n <= 19",
             ok, f"{elapsed:.2f}s")
 
 

@@ -1,4 +1,10 @@
+from pathlib import Path
+
 from sombor.cli import OutputEnvelope, run
+
+# stdout of `sombor extremal --verify-up-to 12` from the graph-by-graph
+# verifier that preceded the shape-level scan
+VERIFY_12_GOLDEN = Path(__file__).parent / "data" / "extremal_verify_up_to_12.txt"
 
 
 def lines_of(capsys):
@@ -99,6 +105,12 @@ class TestExtremal:
         assert "min_so2 6/5 (1.2)" in out
         assert "max_so2 168/25 (6.72)" in out
         assert any(line.startswith("molecular_max_so2 90/17") for line in out)
+
+    def test_verify_output_matches_golden_bytes(self, capsys):
+        envelope = run(["extremal", "--verify-up-to", "12"])
+        assert envelope.exit_status == 0
+        assert (capsys.readouterr().out
+                == VERIFY_12_GOLDEN.read_text(encoding="utf-8"))
 
     def test_verify_reports_zero_violations(self, capsys):
         envelope = run(["extremal", "--verify-up-to", "10"])

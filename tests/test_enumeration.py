@@ -1,11 +1,15 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from sombor.enumeration import (DEFAULT_MAX_N, argmax_so2, argmin_so2,
-                                enumerate_molecular_trees, enumerate_trees,
-                                enumeration_cap)
+from sombor.enumeration import (DEFAULT_MAX_N, _edge_terms, _graph,
+                                _scored_trees, argmax_so2, argmin_so2,
+                                count_trees, enumerate_molecular_trees,
+                                enumerate_trees, enumeration_cap,
+                                so2_extremes)
 from sombor.graphs import degrees, is_molecular_tree, is_tree
+from sombor.indices import so2
 
 from helpers import (FREE_TREE_COUNTS, MOLECULAR_TREE_COUNTS, ahu_canonical,
                      count_trees_dp)
@@ -33,6 +37,16 @@ class TestCounts:
             assert count_trees_dp(n, 4) == MOLECULAR_TREE_COUNTS[n - 1]
         assert (sum(1 for _ in enumerate_molecular_trees(12))
                 == count_trees_dp(12, 4) == 355)
+
+    def test_count_matches_stream_without_building_graphs(self):
+        for n in range(1, 17):
+            assert count_trees(n) == FREE_TREE_COUNTS[n - 1]
+            assert (count_trees(n, molecular=True)
+                    == MOLECULAR_TREE_COUNTS[n - 1])
+        assert count_trees(9, molecular=True) == sum(
+            1 for _ in enumerate_molecular_trees(9))
+        with pytest.raises(ValueError, match="cap"):
+            count_trees(DEFAULT_MAX_N + 1)
 
     def test_molecular_five_shapes(self):
         shapes = {tuple(sorted(degrees(g)))
@@ -132,3 +146,44 @@ class TestExtremes:
         assert len(forms) == len(attaining)
         from sombor.indices import so2
         assert all(so2(g).exact == value for g in attaining)
+
+
+class TestShapeLevelSo2:
+    """The searches evaluate so2 on canonical shapes in scaled integers;
+    the graph-level `so2` is the oracle."""
+
+    @pytest.mark.parametrize("max_degree, n_max", [(None, 12), (4, 14)])
+    def test_every_tree_value_matches_graph_so2(self, max_degree, n_max):
+        for n in range(1, n_max + 1):
+            scale, _ = _edge_terms(n, max_degree)
+            for value, top, tree in _scored_trees(n, max_degree):
+                g = _graph(n, tree)
+                assert Fraction(value, scale) == so2(g).exact
+                assert top == max(degrees(g))
+
+    @pytest.mark.parametrize("molecular, n_max", [(False, 12), (True, 14)])
+    def test_attainer_sets_match_graph_level_brute_force(self, molecular,
+                                                         n_max):
+        for n in range(1, n_max + 1):
+            stream = (enumerate_molecular_trees(n) if molecular
+                      else enumerate_trees(n))
+            forms_by_value = {}
+            for g in stream:
+                forms_by_value.setdefault(so2(g).exact, []).append(
+                    ahu_canonical(g))
+            for search, pick in ((argmin_so2, min), (argmax_so2, max)):
+                value, attaining = search(n, molecular=molecular)
+                assert value == pick(forms_by_value)
+                assert (Counter(ahu_canonical(g) for g in attaining)
+                        == Counter(forms_by_value[value]))
+
+    def test_single_pass_extremes_match_the_searches(self):
+        def edge_lists(result):
+            return result[0], [list(g.edges()) for g in result[1]]
+
+        for n in range(1, 14):
+            extremes = so2_extremes(n)
+            assert edge_lists(extremes.minimum) == edge_lists(argmin_so2(n))
+            assert edge_lists(extremes.maximum) == edge_lists(argmax_so2(n))
+            assert (edge_lists(extremes.molecular_maximum)
+                    == edge_lists(argmax_so2(n, molecular=True)))
