@@ -10,10 +10,11 @@ charges) is a parse error with the offending position.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .graphs import Graph, is_molecular_tree
 from .indices import so2
@@ -22,11 +23,18 @@ MAX_VALENCE = 4
 
 
 class SmilesError(ValueError):
-    """Malformed or unsupported SMILES input; carries the position."""
+    """Malformed or unsupported SMILES input; carries the position and,
+    when known, the name of the molecule."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"position {position}: {message}")
+    def __init__(self, message: str, position: int,
+                 molecule: Optional[str] = None):
+        where = f"position {position}"
+        if molecule is not None:
+            where = f"molecule {molecule!r}, {where}"
+        super().__init__(f"{where}: {message}")
+        self.message = message
         self.position = position
+        self.molecule = molecule
 
 
 def parse_alkane_smiles(s: str) -> Graph:
@@ -142,7 +150,10 @@ class MoleculeRecord:
     properties: dict[str, float]
 
     def graph(self) -> Graph:
-        return parse_alkane_smiles(self.smiles)
+        try:
+            return parse_alkane_smiles(self.smiles)
+        except SmilesError as exc:
+            raise SmilesError(exc.message, exc.position, self.name) from None
 
 
 class DatasetError(ValueError):
@@ -152,23 +163,31 @@ class DatasetError(ValueError):
 def load_dataset(path: Union[str, Path]) -> list[MoleculeRecord]:
     """Load a molecule dataset from a comma-separated file whose header
     is ``name,smiles,<property>...``.  Empty cells mean the property is
-    absent for that molecule."""
+    absent for that molecule; non-finite values (nan, inf) and repeated
+    column names are errors.  SMILES are parsed later, by
+    ``MoleculeRecord.graph``."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
     reader = csv.reader(text.splitlines())
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    # (file line, cells) of the non-blank rows, so messages name file lines
+    rows = [(reader.line_num, row) for row in reader
+            if row and any(cell.strip() for cell in row)]
     if not rows:
         raise DatasetError(f"{path}: empty dataset file")
-    header = [cell.strip() for cell in rows[0]]
+    header_line, header = rows[0][0], [cell.strip() for cell in rows[0][1]]
     if header[:2] != ["name", "smiles"]:
         raise DatasetError(f'{path}: header must start with "name,smiles"')
+    for column in header:
+        if header.count(column) > 1:
+            raise DatasetError(f"{path}: row {header_line} (header) repeats "
+                               f"column {column!r}")
     property_names = header[2:]
     records: list[MoleculeRecord] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise DatasetError(f"{path}: row {lineno} has {len(row)} cells, "
                                f"expected {len(header)}")
@@ -176,7 +195,8 @@ def load_dataset(path: Union[str, Path]) -> list[MoleculeRecord]:
         if not name:
             raise DatasetError(f"{path}: row {lineno} has an empty name")
         if name in seen:
-            raise DatasetError(f"{path}: duplicate molecule name {name!r}")
+            raise DatasetError(f"{path}: row {lineno}: duplicate molecule "
+                               f"name {name!r}")
         seen.add(name)
         smiles = row[1].strip()
         properties: dict[str, float] = {}
@@ -185,11 +205,16 @@ def load_dataset(path: Union[str, Path]) -> list[MoleculeRecord]:
             if not cell:
                 continue
             try:
-                properties[column] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise DatasetError(
                     f"{path}: row {lineno} ({name}), column {column!r}: "
                     f"non-numeric value {cell!r}") from None
+            if not math.isfinite(value):
+                raise DatasetError(
+                    f"{path}: row {lineno} ({name}), column {column!r}: "
+                    f"non-finite value {cell!r}")
+            properties[column] = value
         records.append(MoleculeRecord(name=name, smiles=smiles,
                                       properties=properties))
     return records

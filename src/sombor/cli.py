@@ -21,8 +21,8 @@ from .enumeration import (argmax_so2, count_trees, enumerate_molecular_trees,
 from .extremal import (build_family_member, molecular_so2_max,
                        tree_so2_bounds, verify_extremal_bounds)
 from .graphs import Graph, degrees, parse_edge_list
-from .indices import KERNELS, IndexValue, neighborhood_zagreb, so2, vdb_index
-from .qspr import INDEX_NAMES, fit_property
+from .indices import INDEX_NAMES, IndexValue, index_by_name, so2
+from .qspr import fit_property
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 
 def _cmd_compute(args: argparse.Namespace) -> list[str]:
-    g = _load_graph(args)
-    if args.index == "mn":
-        value = neighborhood_zagreb(g)
-    elif args.index == "so2":
-        value = so2(g)
-    else:
-        value = vdb_index(g, KERNELS[args.index])
+    value = index_by_name(_load_graph(args), args.index)
     return [_fmt_index(value, args.format)]
 
 

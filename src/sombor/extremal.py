@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .graphs import Graph, EdgeTypeProfile, degrees, edge_type_profile, \
+from .graphs import Graph, EdgeTypeProfile, degrees, edge_type_counts, \
     is_molecular_tree
 # argmax_so2 and argmin_so2 stay importable from this module
 from .enumeration import argmax_so2, argmin_so2, so2_extremes  # noqa: F401
@@ -141,24 +141,19 @@ def is_in_family(g: Graph, residue: int) -> bool:
         required = sig.mij(g.n)
     except ValueError:
         return False
-    profile = edge_type_profile(g)
-    actual = {key: count for key, count in profile.m.items() if count}
-    if actual != {key: count for key, count in required.items() if count}:
+    # the signature fixes the 4-4 edges too: one in family 0, none elsewhere
+    if edge_type_counts(g) != {key: count for key, count in required.items()
+                               if count}:
         return False
 
     deg = degrees(g)
     degree3 = [v for v in range(g.n) if deg[v] == 3]
-    four_four = sum(1 for u, v in g.edges() if deg[u] == 4 and deg[v] == 4)
     if residue == 3:
-        if len(degree3) != 1 or four_four != 0:
+        if len(degree3) != 1:
             return False
         if sorted(deg[u] for u in g.adjacency[degree3[0]]) != [1, 1, 4]:
             return False
     elif degree3:
-        return False
-    if residue == 0 and four_four != 1:
-        return False
-    if residue in (1, 2) and four_four != 0:
         return False
 
     special_twos = 0
@@ -301,8 +296,8 @@ def degree_three_penalty(m13: int, m23: int, m33: int, m34: int) -> Fraction:
         raise ValueError("edge counts must be nonnegative")
     if m13 + m23 + 2 * m33 + m34 != 3:
         raise ValueError("split must satisfy m13 + m23 + 2*m33 + m34 == 3")
-    return (Fraction(11, 85) * m13 + Fraction(58, 221) * m23
-            + Fraction(47, 85) * m33 + Fraction(96, 425) * m34)
+    split = {(1, 3): m13, (2, 3): m23, (3, 3): m33, (3, 4): m34}
+    return sum(_REDUCTION_PENALTIES[key] * count for key, count in split.items())
 
 
 def degree_three_edge_splits() -> list[tuple[int, int, int, int]]:

@@ -8,6 +8,7 @@ once and the rest of the code can trust them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -144,17 +145,25 @@ class EdgeTypeProfile:
         return self.m.get(key, 0)
 
 
+def edge_type_counts(g: Graph) -> dict[tuple[int, int], int]:
+    """Number of edges per endpoint-degree pair (i, j), i <= j: the m_ij
+    of ``EdgeTypeProfile`` without its validation."""
+    adjacency = g.adjacency
+    m: dict[tuple[int, int], int] = {}
+    for u, nbrs in enumerate(adjacency):
+        du = len(nbrs)
+        for v in nbrs:
+            if u < v:
+                dv = len(adjacency[v])
+                key = (du, dv) if du <= dv else (dv, du)
+                m[key] = m.get(key, 0) + 1
+    return m
+
+
 def edge_type_profile(g: Graph) -> EdgeTypeProfile:
     """Count edges by endpoint-degree pair and vertices by degree."""
-    deg = degrees(g)
-    m: dict[tuple[int, int], int] = {}
-    for u, v in g.edges():
-        i, j = sorted((deg[u], deg[v]))
-        m[(i, j)] = m.get((i, j), 0) + 1
-    counts: dict[int, int] = {}
-    for d in deg:
-        counts[d] = counts.get(d, 0) + 1
-    return EdgeTypeProfile(m=m, degree_counts=counts, n=g.n)
+    return EdgeTypeProfile(m=edge_type_counts(g),
+                           degree_counts=dict(Counter(degrees(g))), n=g.n)
 
 
 def parse_edge_list(text: str) -> Graph:

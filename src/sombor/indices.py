@@ -4,12 +4,12 @@ The second Sombor index is the headline quantity:
 
     so2(G) = sum over edges uv of |d(u)^2 - d(v)^2| / (d(u)^2 + d(v)^2)
 
-It is rational for every graph, so it is computed in exact arithmetic
-(``fractions.Fraction``); ties between distinct trees are then exact
-equalities instead of float coincidences.  The comparison indices used
-in the octane correlation study are provided through a generic
-edge-kernel mechanism; kernels with rational values (M1, M2, F, SDD)
-also carry exact results, the irrational ones (SO, R, SCI) are floats.
+Every index in ``KERNELS`` is a sum over i <= j of m_ij * F(i, j), where
+m_ij counts the edges joining degrees i and j (``edge_type_counts``);
+one sum evaluates them all.  Rational kernels (SO2, M1, M2, F, SDD) are
+exact ``Fraction``s, so ties between trees are exact equalities; the
+irrational ones (SO, R, SCI) are ``math.fsum`` floats.  ``index_by_name``
+evaluates any of ``INDEX_NAMES`` (the kernels, then neighborhood Zagreb).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .graphs import Graph, EdgeTypeProfile, degrees
+from .graphs import Graph, EdgeTypeProfile, degrees, edge_type_counts
 
 
 @dataclass(frozen=True)
@@ -68,37 +68,37 @@ KERNELS: dict[str, VdbKernel] = {
 }
 
 
+INDEX_NAMES = (*KERNELS, "mn")
+
+
+def _kernel_sum(m: dict[tuple[int, int], int], kernel: VdbKernel) -> IndexValue:
+    """Sum of m_ij * F(i, j) over the nonzero edge-type counts ``m``: exact
+    for a rational kernel, ``math.fsum`` of the float terms otherwise."""
+    if kernel.exact is None:
+        return IndexValue(approx=math.fsum(
+            count * kernel.approx(i, j) for (i, j), count in m.items() if count))
+    terms = [(count, kernel.exact(i, j)) for (i, j), count in m.items() if count]
+    # integer numerators over the lcm denominator: one normalisation
+    den = math.lcm(*(term.denominator for _, term in terms))
+    total = Fraction(sum(count * term.numerator * (den // term.denominator)
+                         for count, term in terms), den)
+    return IndexValue(approx=float(total), exact=total)
+
+
 def so2(g: Graph) -> IndexValue:
     """Second Sombor index, exact.  Zero for edgeless graphs."""
-    deg = degrees(g)
-    total = Fraction(0)
-    for u, v in g.edges():
-        total += _so2_term(deg[u], deg[v])
-    return IndexValue(approx=float(total), exact=total)
+    return _kernel_sum(edge_type_counts(g), KERNELS["so2"])
 
 
 def so2_from_profile(profile: EdgeTypeProfile) -> Fraction:
     """Second Sombor index evaluated from edge-type counts alone:
     sum of m_ij * |i^2 - j^2| / (i^2 + j^2)."""
-    total = Fraction(0)
-    for (i, j), count in profile.m.items():
-        if count and i != j:
-            total += count * _so2_term(i, j)
-    return total
+    return _kernel_sum(profile.m, KERNELS["so2"]).exact
 
 
 def vdb_index(g: Graph, kernel: VdbKernel) -> IndexValue:
     """Generic vertex-degree-based index: sum of the kernel over edges."""
-    deg = degrees(g)
-    if kernel.exact is not None:
-        total = Fraction(0)
-        for u, v in g.edges():
-            total += kernel.exact(deg[u], deg[v])
-        return IndexValue(approx=float(total), exact=total)
-    acc = 0.0
-    for u, v in g.edges():
-        acc += kernel.approx(deg[u], deg[v])
-    return IndexValue(approx=acc)
+    return _kernel_sum(edge_type_counts(g), kernel)
 
 
 def neighborhood_zagreb(g: Graph) -> IndexValue:
@@ -110,6 +110,16 @@ def neighborhood_zagreb(g: Graph) -> IndexValue:
         s = sum(deg[u] for u in g.adjacency[v])
         total += s * s
     return IndexValue(approx=float(total), exact=Fraction(total))
+
+
+def index_by_name(g: Graph, name: str) -> IndexValue:
+    """Evaluate the index called ``name``, one of ``INDEX_NAMES``."""
+    if name in KERNELS:
+        return vdb_index(g, KERNELS[name])
+    if name == "mn":
+        return neighborhood_zagreb(g)
+    raise ValueError(f"unknown index {name!r}; expected one of "
+                     f"{', '.join(INDEX_NAMES)}")
 
 
 def so2_upper_bound(m: int, min_degree: int, max_degree: int) -> Fraction:

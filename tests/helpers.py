@@ -3,12 +3,15 @@
 The canonical form here is center-rooted AHU (leaf stripping), on
 purpose different from the centroid decomposition the enumerator uses;
 the counting helper is a multiset-composition DP rather than a
-generator; the linear-system helper is plain Gaussian elimination.
-Agreement between these and the library is therefore meaningful.
+generator; the linear-system helper is plain Gaussian elimination; the
+index helper sums each kernel edge by edge from its textbook formula,
+where the library sums over edge-type counts.  Agreement between these
+and the library is therefore meaningful.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -89,6 +92,36 @@ def random_tree(rng: random.Random, n: int, max_degree: int | None = None) -> Gr
         degree[u] += 1
         degree[v] += 1
     return Graph.from_edges(n, edges)
+
+
+# --- independent index evaluation (definitional per-edge sums) ---
+
+# F(x, y) for endpoint degrees x, y: exact for the rational kernels,
+# float for the irrational ones
+EDGE_KERNELS = {
+    "so2": lambda x, y: Fraction(abs(x * x - y * y), x * x + y * y),
+    "so": lambda x, y: math.sqrt(x * x + y * y),
+    "m1": lambda x, y: Fraction(x + y),
+    "m2": lambda x, y: Fraction(x * y),
+    "f": lambda x, y: Fraction(x * x + y * y),
+    "r": lambda x, y: 1 / math.sqrt(x * y),
+    "sci": lambda x, y: 1 / math.sqrt(x + y),
+    "sdd": lambda x, y: Fraction(x, y) + Fraction(y, x),
+}
+
+
+def index_by_definition(g: Graph, name: str):
+    """Index ``name`` as a plain sum over the edges of g: a Fraction for
+    the rational kernels and "mn", a float (fsum) for the others."""
+    deg = [len(a) for a in g.adjacency]
+    if name == "mn":
+        return Fraction(sum(sum(deg[u] for u in g.adjacency[v]) ** 2
+                            for v in range(g.n)))
+    terms = [EDGE_KERNELS[name](deg[u], deg[v])
+             for u in range(g.n) for v in g.adjacency[u] if u < v]
+    if name in ("so", "r", "sci"):
+        return math.fsum(terms)
+    return sum(terms, Fraction(0))
 
 
 # --- independent tree counting (multiset-composition DP) ---

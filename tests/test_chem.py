@@ -140,6 +140,46 @@ class TestDatasetLoading:
         with pytest.raises(DatasetError, match="empty name"):
             load_dataset(f)
 
+    def test_nan_cell_names_row_molecule_and_column(self, tmp_path):
+        f = tmp_path / "nan.csv"
+        f.write_text("name,smiles,bp\nbutane,CCCC,1.0\npentane,CCCCC,nan\n")
+        with pytest.raises(DatasetError,
+                           match=r"nan\.csv: row 3 \(pentane\), column 'bp': "
+                                 r"non-finite value 'nan'"):
+            load_dataset(f)
+
+    def test_inf_cell_rejected(self, tmp_path):
+        f = tmp_path / "inf.csv"
+        f.write_text("name,smiles,bp,S\nbutane,CCCC,1.0,-inf\n")
+        with pytest.raises(DatasetError,
+                           match=r"row 2 \(butane\), column 'S': "
+                                 r"non-finite value '-inf'"):
+            load_dataset(f)
+
+    def test_duplicate_column_rejected(self, tmp_path):
+        f = tmp_path / "dupcol.csv"
+        f.write_text("name,smiles,bp,bp\nbutane,CCCC,1.0,2.0\n")
+        with pytest.raises(DatasetError,
+                           match=r"dupcol\.csv: row 1 \(header\) repeats "
+                                 r"column 'bp'"):
+            load_dataset(f)
+
+    def test_rows_are_numbered_by_file_line(self, tmp_path):
+        f = tmp_path / "blank.csv"
+        f.write_text("name,smiles,bp\n\na,CCCC,1\n\nb,CCCCC,oops\n")
+        with pytest.raises(DatasetError, match=r"row 5 \(b\), column 'bp'"):
+            load_dataset(f)
+
+    def test_bad_smiles_names_the_molecule_when_parsed(self, tmp_path):
+        f = tmp_path / "badsmiles.csv"
+        f.write_text("name,smiles,bp\nbutane,CCCC,1.0\nodd,CC(C,2.0\n")
+        records = load_dataset(f)  # SMILES are not parsed at load time
+        with pytest.raises(SmilesError,
+                           match=r"molecule 'odd', position 4: unbalanced") as info:
+            records[1].graph()
+        assert info.value.molecule == "odd"
+        assert info.value.position == 4
+
 
 # printed reference values for the 18 octane isomers
 OCTANE_SO2 = {

@@ -172,6 +172,14 @@ class TestFit:
         envelope = run(["fit", "--dataset", str(f), "--property", "Y"])
         assert envelope.exit_status == 0
 
+    def test_non_finite_property_exits_one(self, tmp_path, capsys):
+        f = tmp_path / "nan.csv"
+        f.write_text("name,smiles,Y\na,CCCC,1.0\nb,CC(C)C,nan\nc,CCCCC,3.0\n")
+        envelope = run(["fit", "--dataset", str(f), "--property", "Y"])
+        assert envelope.exit_status == 1
+        assert "non-finite value 'nan'" in envelope.warnings[0]
+        assert lines_of(capsys) == []
+
 
 class TestParse:
     def test_parse_output(self, capsys):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from sombor.graphs import (Graph, EdgeTypeProfile, degrees, edge_type_profile,
-                           format_edge_list, is_molecular_tree, is_tree,
-                           parse_edge_list)
+from sombor.graphs import (Graph, EdgeTypeProfile, degrees, edge_type_counts,
+                           edge_type_profile, format_edge_list,
+                           is_molecular_tree, is_tree, parse_edge_list)
 
 from helpers import random_graph, shuffled_copy
 
@@ -133,6 +133,18 @@ class TestEdgeTypeProfile:
             g = random_graph(rng, rng.randint(2, 9), 0.4)
             h = shuffled_copy(g, rng)
             assert edge_type_profile(g) == edge_type_profile(h)
+
+    def test_counts_match_sorted_degree_pairs(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.0, 0.8))
+            deg = degrees(g)
+            want: dict = {}
+            for u, v in g.edges():
+                key = tuple(sorted((deg[u], deg[v])))
+                want[key] = want.get(key, 0) + 1
+            assert edge_type_counts(g) == want
+            assert edge_type_profile(g).m == want
 
     def test_rejects_inconsistent_profile(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from sombor.graphs import Graph, degrees, edge_type_profile
-from sombor.indices import (KERNELS, IndexValue, neighborhood_zagreb, so2,
-                            so2_from_profile, so2_upper_bound, vdb_index)
+from sombor.indices import (INDEX_NAMES, KERNELS, IndexValue, index_by_name,
+                            neighborhood_zagreb, so2, so2_from_profile,
+                            so2_upper_bound, vdb_index)
 
-from helpers import random_graph, random_tree, shuffled_copy
+from helpers import (EDGE_KERNELS, index_by_definition, random_graph,
+                     random_tree, shuffled_copy)
 
 
 def path(n):
@@ -79,6 +82,13 @@ class TestSo2FromProfile:
         value = so2_from_profile(p)
         assert value == 2 * Fraction(4, 5) + 3 * Fraction(15, 17) + Fraction(7, 25)
         assert value == Fraction(1924, 425) == molecular_so2_max(7)
+
+    def test_zero_counts_are_skipped(self):
+        from sombor.graphs import EdgeTypeProfile
+        # a profile may list a (0, 0) type with count 0, where F is 0/0
+        p = EdgeTypeProfile(m={(0, 0): 0, (1, 1): 1, (1, 2): 0},
+                            degree_counts={0: 1, 1: 2}, n=3)
+        assert so2_from_profile(p) == 0
 
     def test_agrees_with_direct_sum_on_random_graphs(self):
         rng = random.Random(5)
@@ -227,3 +237,72 @@ class TestRatioIdentity:
                 r = Fraction(b, a)
                 acc += Fraction(2) / (r + 1)
             assert so2(g).exact == g.edge_count - acc
+
+
+def _definition_graphs():
+    """Random graphs of every kind the sum must handle: edgeless ones,
+    ones with isolated vertices, trees and graphs with cycles."""
+    rng = random.Random(29)
+    yield Graph(1, ((),))
+    yield Graph.from_edges(5, [])
+    yield Graph.from_edges(6, [(0, 1), (1, 2), (1, 3)])  # 4 and 5 isolated
+    for _ in range(150):
+        yield random_graph(rng, rng.randint(1, 12), rng.uniform(0.0, 0.9))
+    for _ in range(50):
+        yield random_tree(rng, rng.randint(2, 20))
+
+
+class TestAgainstDefinition:
+    """The edge-type sum against the per-edge sum of each kernel's
+    defining formula (helpers.index_by_definition)."""
+
+    def test_every_kernel_on_random_graphs(self):
+        assert set(EDGE_KERNELS) == set(KERNELS)
+        for g in _definition_graphs():
+            for name, kernel in KERNELS.items():
+                want = index_by_definition(g, name)
+                got = vdb_index(g, kernel)
+                if kernel.exact is not None:
+                    assert got.exact == want, (name, g)
+                    assert got.approx == float(want)
+                else:
+                    assert got.exact is None
+                    assert math.isclose(got.approx, want, rel_tol=1e-12), (name, g)
+
+    def test_so2_entries_on_random_graphs(self):
+        for g in _definition_graphs():
+            want = index_by_definition(g, "so2")
+            assert so2(g).exact == want
+            assert so2_from_profile(edge_type_profile(g)) == want
+
+    def test_neighborhood_zagreb_on_random_graphs(self):
+        for g in _definition_graphs():
+            assert neighborhood_zagreb(g).exact == index_by_definition(g, "mn")
+
+    def test_edgeless_graphs_sum_to_zero(self):
+        g = Graph.from_edges(4, [])
+        for kernel in KERNELS.values():
+            value = vdb_index(g, kernel)
+            assert value.approx == 0.0
+            assert value.exact in (None, 0)
+
+
+class TestIndexByName:
+    def test_names_are_the_kernels_then_mn(self):
+        assert INDEX_NAMES == ("so2", "so", "m1", "m2", "f", "r", "sci",
+                               "sdd", "mn")
+        assert INDEX_NAMES == (*KERNELS, "mn")
+
+    def test_every_name_matches_its_entry(self):
+        g = random_tree(random.Random(31), 11)
+        for name in INDEX_NAMES:
+            want = (neighborhood_zagreb(g) if name == "mn"
+                    else vdb_index(g, KERNELS[name]))
+            assert index_by_name(g, name) == want
+        assert index_by_name(g, "so2") == so2(g)
+
+    def test_unknown_name_lists_the_known_ones(self):
+        with pytest.raises(ValueError,
+                           match=r"unknown index 'zagreb99'; expected one of "
+                                 r"so2, so, m1, m2, f, r, sci, sdd, mn"):
+            index_by_name(path(3), "zagreb99")

@@ -116,6 +116,13 @@ class TestCorrelationGrid:
         assert set(grid) == {("so2", "AcenFac"), ("m1", "AcenFac")}
         assert 0.0 <= grid[("so2", "AcenFac")] <= 1.0
 
+    def test_targets_may_be_a_one_shot_iterator(self, octanes):
+        grid = correlation_grid(octanes, ["so2", "m1"], iter(["AcenFac", "S"]))
+        assert set(grid) == {("so2", "AcenFac"), ("so2", "S"),
+                             ("m1", "AcenFac"), ("m1", "S")}
+        assert grid == correlation_grid(octanes, ["so2", "m1"],
+                                        ["AcenFac", "S"])
+
     def test_unknown_index_rejected(self, octanes):
         with pytest.raises(ValueError, match="unknown index"):
             correlation_grid(octanes, ["zagreb99"], ["AcenFac"])
