@@ -4,7 +4,9 @@ Only the hydrogen-suppressed carbon-skeleton subset of SMILES is
 accepted: atoms are the single letter ``C``, branches use parentheses,
 bonds are implicit single bonds.  That is exactly what is needed to
 name alkane isomers; anything else (rings, aromatics, heteroatoms,
-charges) is a parse error with the offending position.
+charges) is a parse error with the offending position.  Canonical
+SMILES are written from the enumerator's canonical shape
+(``enumeration.canonical_shape``), the one canonical form of a tree.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
+from .enumeration import Shape, canonical_shape
 from .graphs import Graph, is_molecular_tree
 from .indices import so2
 
@@ -80,65 +83,26 @@ def parse_alkane_smiles(s: str) -> Graph:
     return g
 
 
-def _canonical_key(g: Graph, v: int, parent: int):
-    return tuple(sorted((_canonical_key(g, u, v) for u in g.adjacency[v]
-                         if u != parent), reverse=True))
-
-
-def _centroid_candidates(g: Graph) -> list[int]:
-    # subtree sizes via one DFS from vertex 0, then max-component weights
-    n = g.n
-    order: list[int] = []
-    parent = [-1] * n
-    stack = [0]
-    seen = [False] * n
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in g.adjacency[v]:
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                stack.append(u)
-    size = [1] * n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    best = n
-    out: list[int] = []
-    for v in range(n):
-        weight = n - size[v]
-        for u in g.adjacency[v]:
-            if u != parent[v] and parent[u] == v:
-                weight = max(weight, size[u])
-        if weight < best:
-            best = weight
-            out = [v]
-        elif weight == best:
-            out.append(v)
-    return out
-
-
 def alkane_to_smiles(g: Graph) -> str:
-    """Canonical SMILES of a molecular tree: rooted at the centroid
-    (picking the lexicographically larger orientation for centroid
-    pairs), children emitted in decreasing canonical order.  Isomorphic
-    trees serialize identically."""
+    """Canonical SMILES of a molecular tree, written from its
+    ``canonical_shape``: the centroid first, each atom's branches in the
+    shape's order, the last one unparenthesized.  Isomorphic trees
+    serialize identically."""
     if not is_molecular_tree(g):
         raise ValueError("not a molecular tree")
-    root = max(_centroid_candidates(g),
-               key=lambda v: _canonical_key(g, v, -1))
+    out: list[str] = []
+    _write(canonical_shape(g), out)
+    return "".join(out)
 
-    def emit(v: int, parent: int) -> str:
-        children = sorted((u for u in g.adjacency[v] if u != parent),
-                          key=lambda u: _canonical_key(g, u, v), reverse=True)
-        parts = [f"({emit(u, v)})" for u in children[:-1]]
-        if children:
-            parts.append(emit(children[-1], v))
-        return "C" + "".join(parts)
 
-    return emit(root, -1)
+def _write(shape: Shape, out: list[str]) -> None:
+    out.append("C")
+    for child in shape[:-1]:
+        out.append("(")
+        _write(child, out)
+        out.append(")")
+    if shape:
+        _write(shape[-1], out)
 
 
 @dataclass(frozen=True)

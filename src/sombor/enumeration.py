@@ -10,6 +10,9 @@ tuples with children sorted in decreasing order -- and assembled into
 trees as multisets of branches below the centroid, or unordered pairs
 of half-size branches across the centroid edge.  Each isomorphism
 class is produced exactly once, with no post-hoc isomorphism filtering.
+``canonical_shape`` computes the same shape for any labelled tree, so
+it is the one canonical form of a tree: canonical SMILES
+(``chem.alkane_to_smiles``) are written from it.
 
 A maximum-degree cap is applied while generating (branch nodes get at
 most cap-1 children, the centroid at most cap), so restricting to
@@ -37,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
-from .graphs import Graph
+from .graphs import Graph, _bfs
 # so2 stays importable from this module
 from .indices import _so2_term, so2  # noqa: F401
 
@@ -204,32 +207,64 @@ def _graph(n: int, tree: _Tree) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _check_n(n: int, max_n: Optional[int]) -> None:
-    cap = enumeration_cap() if max_n is None else max_n
+def canonical_shape(g: Graph) -> Shape:
+    """The generator's shape for the isomorphism class of the tree `g`:
+    rooted at the centroid (for a centroid edge, at the end that gives
+    the larger shape), children sorted decreasingly by (size, shape).
+    Built bottom up without recursion, though comparing two deep shapes
+    can still exceed the interpreter's recursion limit."""
+    n = g.n
+    order, parent = _bfs(g, 0)
+    if len(order) != n or g.edge_count != n - 1:
+        raise ValueError("not a tree")
+    size, heaviest = [1] * n, [0] * n  # heaviest: largest child subtree
+    for v in reversed(order[1:]):
+        p = parent[v]
+        size[p] += size[v]
+        heaviest[p] = max(heaviest[p], size[v])
+    centroids = [v for v in range(n) if 2 * max(heaviest[v], n - size[v]) <= n]
+    order, parent = _bfs(g, centroids[0])
+    shape: list[Shape] = [()] * n
+    size = [1] * n
+    for v in reversed(order):
+        children = sorted(((size[u], shape[u]) for u in g.adjacency[v]
+                           if u != parent[v]), reverse=True)
+        shape[v] = tuple(s for _, s in children)
+        size[v] += sum(k for k, _ in children)
+    root = shape[centroids[0]]
+    if len(centroids) == 2:
+        # the other end's half comes first: it has n/2 of the n - 1
+        half, rest = root[0], root[1:]
+        if rest > half:
+            return (rest, *half)
+    return root
+
+
+def _check_n(n: int) -> None:
+    cap = enumeration_cap()
     if n < 1:
         raise ValueError("n must be positive")
     if n > cap:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
 
 
-def enumerate_trees(n: int, *, max_n: Optional[int] = None) -> Iterator[Graph]:
+def enumerate_trees(n: int) -> Iterator[Graph]:
     """Stream every free tree on n vertices, one per isomorphism class."""
-    _check_n(n, max_n)
+    _check_n(n)
     return (_graph(n, tree) for tree in _trees(n, None))
 
 
-def enumerate_molecular_trees(n: int, *,
-                              max_n: Optional[int] = None) -> Iterator[Graph]:
+def enumerate_molecular_trees(n: int) -> Iterator[Graph]:
     """Stream every tree on n vertices with maximum degree at most four,
     one per isomorphism class."""
-    _check_n(n, max_n)
+    _check_n(n)
     return (_graph(n, tree) for tree in _trees(n, 4))
 
 
 def count_trees(n: int, *, molecular: bool = False) -> int:
     """Number of trees `enumerate_trees` (or, with `molecular`,
     `enumerate_molecular_trees`) streams, counted without building them."""
-    _check_n(n, None)
+    _check_n(n)
     return sum(1 for _ in _trees(n, 4 if molecular else None))
 
 
@@ -269,7 +304,7 @@ def so2_extremes(n: int) -> So2Extremes:
     maximum over the molecular ones (degree <= 4), from a single pass.
     Each agrees with `argmin_so2`/`argmax_so2`, attainers and order
     included."""
-    _check_n(n, None)
+    _check_n(n)
     low, high, molecular = _Extreme(-1), _Extreme(+1), _Extreme(+1)
     for value, top, tree in _scored_trees(n, None):
         low.offer(value, tree)
@@ -281,9 +316,9 @@ def so2_extremes(n: int) -> So2Extremes:
                        molecular.result(n, scale))
 
 
-def _extreme_so2(n: int, molecular: bool, max_n: Optional[int],
+def _extreme_so2(n: int, molecular: bool,
                  sign: int) -> tuple[Fraction, list[Graph]]:
-    _check_n(n, max_n)
+    _check_n(n)
     max_degree = 4 if molecular else None
     extreme = _Extreme(sign)
     for value, _, tree in _scored_trees(n, max_degree):
@@ -292,14 +327,14 @@ def _extreme_so2(n: int, molecular: bool, max_n: Optional[int],
     return extreme.result(n, scale)
 
 
-def argmax_so2(n: int, *, molecular: bool = False,
-               max_n: Optional[int] = None) -> tuple[Fraction, list[Graph]]:
+def argmax_so2(n: int, *,
+               molecular: bool = False) -> tuple[Fraction, list[Graph]]:
     """Exact maximum of so2 over the tree class, with every attaining tree
     (rational ties are exact, so the list is the full argmax set)."""
-    return _extreme_so2(n, molecular, max_n, +1)
+    return _extreme_so2(n, molecular, +1)
 
 
-def argmin_so2(n: int, *, molecular: bool = False,
-               max_n: Optional[int] = None) -> tuple[Fraction, list[Graph]]:
+def argmin_so2(n: int, *,
+               molecular: bool = False) -> tuple[Fraction, list[Graph]]:
     """Exact minimum of so2 over the tree class, with every attaining tree."""
-    return _extreme_so2(n, molecular, max_n, -1)
+    return _extreme_so2(n, molecular, -1)

@@ -126,50 +126,28 @@ def build_family_member(residue: int, n: int) -> Graph:
 
 
 def is_in_family(g: Graph, residue: int) -> bool:
-    """Membership in the extremal family for the given residue class.
+    """Membership in the extremal family for the given residue class:
+    a molecular tree whose edge-type counts equal the family signature.
 
-    Checks the defining degree-class adjacency conditions together with
-    the exact edge-type signature; vacuous degenerate trees (too small
-    to carry the signature) are excluded by the signature comparison.
+    Degenerate trees too small to carry the signature fail the
+    comparison.  The counts also imply the family's adjacency
+    conditions: the only edge types a signature allows at degree-2 and
+    degree-3 vertices are 2-4, family 2's one 1-2 and family 3's two 1-3
+    and one 3-4.  So family 3's lone degree-3 vertex has neighbour
+    degrees 1, 1, 4, and every degree-2 vertex has neighbour degrees
+    4, 4, except one with 1, 4 in family 2.
     """
     if residue not in (0, 1, 2, 3):
         raise ValueError("residue must be 0, 1, 2 or 3")
     if not is_molecular_tree(g) or g.n % 4 != residue:
         return False
-    sig = FAMILIES[residue]
     try:
-        required = sig.mij(g.n)
+        required = FAMILIES[residue].mij(g.n)
     except ValueError:
         return False
     # the signature fixes the 4-4 edges too: one in family 0, none elsewhere
-    if edge_type_counts(g) != {key: count for key, count in required.items()
-                               if count}:
-        return False
-
-    deg = degrees(g)
-    degree3 = [v for v in range(g.n) if deg[v] == 3]
-    if residue == 3:
-        if len(degree3) != 1:
-            return False
-        if sorted(deg[u] for u in g.adjacency[degree3[0]]) != [1, 1, 4]:
-            return False
-    elif degree3:
-        return False
-
-    special_twos = 0
-    for v in range(g.n):
-        if deg[v] != 2:
-            continue
-        nbr = sorted(deg[u] for u in g.adjacency[v])
-        if nbr == [4, 4]:
-            continue
-        if residue == 2 and nbr == [1, 4]:
-            special_twos += 1
-            continue
-        return False
-    if residue == 2 and special_twos != 1:
-        return False
-    return True
+    return edge_type_counts(g) == {key: count
+                                   for key, count in required.items() if count}
 
 
 def tree_so2_bounds(n: int) -> tuple[Fraction, Fraction]:

@@ -77,24 +77,22 @@ def degrees(g: Graph) -> list[int]:
     return [len(nbrs) for nbrs in g.adjacency]
 
 
-def _is_connected(g: Graph) -> bool:
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
+def _bfs(g: Graph, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from `root` and the parents in it (the root
+    is its own parent, unreached vertices have -1)."""
+    order, parent = [root], [-1] * g.n
+    parent[root] = root
+    for v in order:
         for u in g.adjacency[v]:
-            if not seen[u]:
-                seen[u] = True
-                count += 1
-                stack.append(u)
-    return count == g.n
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    return order, parent
 
 
 def is_tree(g: Graph) -> bool:
     """True iff the graph is connected with exactly n-1 edges."""
-    return g.edge_count == g.n - 1 and _is_connected(g)
+    return g.edge_count == g.n - 1 and len(_bfs(g, 0)[0]) == g.n
 
 
 def is_molecular_tree(g: Graph) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from .chem import MoleculeRecord
@@ -81,11 +82,17 @@ def correlation_grid(records: Sequence[MoleculeRecord],
     set.  Targets may be property names or other index names."""
     records = list(records)
     graphs = [record.graph() for record in records]
-    targets = [(target, _target_values(records, target, graphs))
+
+    @cache  # one evaluation per distinct index name
+    def index_column(name: str) -> list[float]:
+        return [index_value(g, name) for g in graphs]
+
+    targets = [(target, index_column(target) if target in INDEX_NAMES
+                else _target_values(records, target, graphs))
                for target in target_list]
     grid: dict[tuple[str, str], float] = {}
     for index_name in index_list:
-        xs = [index_value(g, index_name) for g in graphs]
+        xs = index_column(index_name)
         for target, ys in targets:
             grid[(index_name, target)] = linear_fit(xs, ys).r_squared
     return grid

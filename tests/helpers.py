@@ -11,6 +11,7 @@ and the library is therefore meaningful.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -91,6 +92,26 @@ def random_tree(rng: random.Random, n: int, max_degree: int | None = None) -> Gr
         edges.append((u, v))
         degree[u] += 1
         degree[v] += 1
+    return Graph.from_edges(n, edges)
+
+
+def tree_from_pruefer(n: int, sequence: list[int]) -> Graph:
+    """The labelled tree on n vertices with the given Pruefer sequence
+    (n - 2 labels); vertex v gets degree 1 + the number of times v
+    occurs in it."""
+    degree = [1] * n
+    for v in sequence:
+        degree[v] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in sequence:
+        edges.append((heapq.heappop(leaves), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    if n > 1:
+        edges.append((leaves[0], leaves[1]))
     return Graph.from_edges(n, edges)
 
 

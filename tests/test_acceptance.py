@@ -71,13 +71,14 @@ def test_criterion_2_tree_bounds_brute_force():
                "star, for 3 <= n <= 12", ok, f"{elapsed:.2f}s")
 
 
-def test_criterion_3_molecular_maximum_brute_force():
+def test_criterion_3_molecular_maximum_brute_force(monkeypatch):
+    monkeypatch.setenv("SOMBOR_MAX_N", "19")
     start = time.perf_counter()
     ok = True
     degenerate_notes = []
     for n in range(5, 20):
         expected = molecular_so2_max(n)
-        value, maximizers = argmax_so2(n, molecular=True, max_n=19)
+        value, maximizers = argmax_so2(n, molecular=True)
         ok &= value == expected
         residue = n % 4
         ok &= all(is_in_family(g, residue) for g in maximizers)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sombor.chem import (DatasetError, MoleculeRecord, SmilesError,
                          alkane_to_smiles, load_dataset, octane_dataset_path,
@@ -10,7 +11,21 @@ from sombor.enumeration import enumerate_molecular_trees
 from sombor.graphs import degrees, is_molecular_tree
 from sombor.indices import so2
 
-from helpers import ahu_canonical, shuffled_copy
+from helpers import ahu_canonical, shuffled_copy, tree_from_pruefer
+
+
+@st.composite
+def molecular_trees(draw, max_n=60):
+    """Random molecular trees from Pruefer sequences in which no label
+    occurs more than three times (so every degree is at most four)."""
+    n = draw(st.integers(1, max_n))
+    uses = [0] * n
+    sequence = []
+    for _ in range(n - 2):
+        v = draw(st.sampled_from([u for u in range(n) if uses[u] < 3]))
+        uses[v] += 1
+        sequence.append(v)
+    return tree_from_pruefer(n, sequence)
 
 
 class TestSmilesParsing:
@@ -85,6 +100,18 @@ class TestSmilesWriting:
         rng = random.Random(13)
         for g in enumerate_molecular_trees(8):
             assert alkane_to_smiles(shuffled_copy(g, rng)) == alkane_to_smiles(g)
+
+    @settings(deadline=None)
+    @given(molecular_trees(), st.randoms(use_true_random=False))
+    def test_invariant_under_relabeling_property(self, g, rng):
+        assert alkane_to_smiles(shuffled_copy(g, rng)) == alkane_to_smiles(g)
+
+    @settings(deadline=None)
+    @given(molecular_trees())
+    def test_parse_of_written_smiles_is_the_same_tree(self, g):
+        assert is_molecular_tree(g)
+        back = parse_alkane_smiles(alkane_to_smiles(g))
+        assert ahu_canonical(back) == ahu_canonical(g)
 
     def test_rejects_non_molecular(self):
         from sombor.graphs import Graph

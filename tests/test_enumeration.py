@@ -1,18 +1,19 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from sombor.enumeration import (DEFAULT_MAX_N, _edge_terms, _graph,
-                                _scored_trees, argmax_so2, argmin_so2,
-                                count_trees, enumerate_molecular_trees,
-                                enumerate_trees, enumeration_cap,
-                                so2_extremes)
-from sombor.graphs import degrees, is_molecular_tree, is_tree
+                                _scored_trees, _trees, argmax_so2, argmin_so2,
+                                canonical_shape, count_trees,
+                                enumerate_molecular_trees, enumerate_trees,
+                                enumeration_cap, so2_extremes)
+from sombor.graphs import Graph, degrees, is_molecular_tree, is_tree
 from sombor.indices import so2
 
 from helpers import (FREE_TREE_COUNTS, MOLECULAR_TREE_COUNTS, ahu_canonical,
-                     count_trees_dp)
+                     count_trees_dp, shuffled_copy)
 
 
 class TestCounts:
@@ -85,6 +86,38 @@ class TestStreamProperties:
         assert first == second
 
 
+def _generated_shape(tree):
+    """The shape the generator built: the centroid's branches, or for a
+    centroid edge the shape rooted at the end with the larger half."""
+    first, second = tree
+    if second is None:
+        return tuple(branch.shape for branch in first)
+    low, high = sorted((first.shape, second.shape))
+    return (high, *low)
+
+
+class TestCanonicalShape:
+    def test_equals_generated_shape(self):
+        rng = random.Random(5)
+        kinds = Counter()
+        for n in range(1, 15):
+            for tree in _trees(n, None):
+                g = _graph(n, tree)
+                expected = _generated_shape(tree)
+                assert canonical_shape(g) == expected
+                assert canonical_shape(shuffled_copy(g, rng)) == expected
+                kinds["vertex" if tree[1] is None else "edge"] += 1
+        assert sum(kinds.values()) == sum(FREE_TREE_COUNTS[:14])
+        assert kinds["vertex"] > 0 and kinds["edge"] > 0
+
+    def test_rejects_non_trees(self):
+        cycle_plus_isolated = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0)])
+        for g in (cycle_plus_isolated, Graph.from_edges(3, [(0, 1)]),
+                  Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])):
+            with pytest.raises(ValueError, match="not a tree"):
+                canonical_shape(g)
+
+
 class TestCap:
     def test_rejects_over_default_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -94,10 +127,13 @@ class TestCap:
         with pytest.raises(ValueError):
             enumerate_trees(0)
 
-    def test_explicit_cap_argument(self):
+    def test_explicit_cap_argument(self, monkeypatch):
+        # SOMBOR_MAX_N is the one cap source; no function takes a cap
+        monkeypatch.setenv("SOMBOR_MAX_N", "8")
         with pytest.raises(ValueError, match="cap"):
-            enumerate_molecular_trees(9, max_n=8)
-        assert sum(1 for _ in enumerate_trees(19, max_n=19)) > 0
+            enumerate_molecular_trees(9)
+        monkeypatch.setenv("SOMBOR_MAX_N", "19")
+        assert sum(1 for _ in enumerate_trees(19)) > 0
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("SOMBOR_MAX_N", "5")

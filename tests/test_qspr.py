@@ -1,8 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from sombor import qspr
 from sombor.chem import load_dataset, octane_dataset_path
 from sombor.qspr import (correlation_grid, fit_property, index_value,
                          linear_fit)
@@ -122,6 +124,22 @@ class TestCorrelationGrid:
                              ("m1", "AcenFac"), ("m1", "S")}
         assert grid == correlation_grid(octanes, ["so2", "m1"],
                                         ["AcenFac", "S"])
+
+    def test_each_name_evaluated_once_per_graph(self, octanes, monkeypatch):
+        calls = Counter()
+        real = qspr.index_value
+
+        def counted(g, name):
+            calls[(name, id(g))] += 1
+            return real(g, name)
+
+        monkeypatch.setattr(qspr, "index_value", counted)
+        grid = correlation_grid(octanes, ["so2", "m1", "so2"],
+                                ["so2", "AcenFac", "mn"])
+        assert len(grid) == 6
+        assert {name for name, _ in calls} == {"so2", "m1", "mn"}
+        assert len(calls) == 3 * len(octanes)
+        assert set(calls.values()) == {1}
 
     def test_unknown_index_rejected(self, octanes):
         with pytest.raises(ValueError, match="unknown index"):
