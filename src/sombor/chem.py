@@ -19,10 +19,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .enumeration import Shape, canonical_shape
-from .graphs import Graph, is_molecular_tree
+from .graphs import MOLECULAR_MAX_DEGREE, Graph, is_molecular_tree
 from .indices import so2
-
-MAX_VALENCE = 4
 
 
 class SmilesError(ValueError):
@@ -43,26 +41,25 @@ class SmilesError(ValueError):
 def parse_alkane_smiles(s: str) -> Graph:
     """Parse a carbon-skeleton SMILES string into its tree.
 
-    Vertices are numbered in token order.  Exceeding four bonds on any
+    Vertices are numbered in token order, so the neighbour lists come out
+    sorted and go to ``Graph`` as built.  Exceeding four bonds on any
     carbon is an error, so every parse result is a molecular tree.
     """
     if not s:
         raise SmilesError("empty SMILES string", 0)
-    edges: list[tuple[int, int]] = []
-    degree: list[int] = []
+    nbrs: list[list[int]] = []
     stack: list[int] = []
     current = -1  # no atom seen yet
     for pos, ch in enumerate(s):
         if ch == "C":
-            atom = len(degree)
-            degree.append(0)
+            atom = len(nbrs)
+            nbrs.append([])
             if current >= 0:
-                if degree[current] >= MAX_VALENCE:
+                if len(nbrs[current]) >= MOLECULAR_MAX_DEGREE:
                     raise SmilesError(
-                        f"carbon valence exceeds {MAX_VALENCE}", pos)
-                edges.append((current, atom))
-                degree[current] += 1
-                degree[atom] += 1
+                        f"carbon valence exceeds {MOLECULAR_MAX_DEGREE}", pos)
+                nbrs[current].append(atom)
+                nbrs[atom].append(current)
             current = atom
         elif ch == "(":
             if current < 0:
@@ -78,7 +75,7 @@ def parse_alkane_smiles(s: str) -> Graph:
             raise SmilesError(f"unsupported character {ch!r}", pos)
     if stack:
         raise SmilesError("unbalanced '('", len(s))
-    g = Graph.from_edges(len(degree), edges)
+    g = Graph(len(nbrs), tuple(map(tuple, nbrs)))
     assert is_molecular_tree(g)
     return g
 

@@ -74,7 +74,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> list[str]:
         return [str(count_trees(args.n, molecular=args.molecular))]
     stream = (enumerate_molecular_trees(args.n) if args.molecular
               else enumerate_trees(args.n))
-    return [_edge_string(g) if g.edge_count else "(no edges)" for g in stream]
+    return [_edge_string(g) or "(no edges)" for g in stream]
 
 
 def _cmd_extremal(args: argparse.Namespace) -> list[str]:
@@ -138,7 +138,7 @@ def _cmd_parse(args: argparse.Namespace) -> list[str]:
     return [
         _kv("n", str(g.n), fmt),
         _kv("m", str(g.edge_count), fmt),
-        _kv("edges", _edge_string(g) if g.edge_count else "(no edges)", fmt),
+        _kv("edges", _edge_string(g) or "(no edges)", fmt),
         _kv("degrees", " ".join(map(str, degrees(g))), fmt),
     ]
 

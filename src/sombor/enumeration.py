@@ -25,11 +25,13 @@ carries its shape, its max degree and the so2 of its own edges, scaled
 by L = lcm(i^2 + j^2) over the degree pairs i + j <= n possible at
 order n, which makes every edge term an integer.  A tree's value is
 then an integer sum over the centroid's branches (or the two halves and
-the bridging edge), divided by L once.  Only the trees a caller asks
-for -- the streamed ones, or the attainers of an extreme -- are built
-as ``Graph``s.  The same generator drives the ``Graph`` streams, the
-counts and the so2 scans, so all of them see the same trees in the same
-order with the same vertex labels.
+the bridging edge), divided by L once.  ``so2_extremes`` is the one so2
+scan; ``argmax_so2`` and ``argmin_so2`` are views of it.  Only the
+trees a caller asks for -- the streamed ones, or the attainers of an
+extreme -- are built as ``Graph``s, their sorted neighbour lists
+labelled straight from the shape.  The same generator drives the
+``Graph`` streams, the counts and the so2 scan, so all of them see the
+same trees in the same order with the same vertex labels.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
-from .graphs import Graph, _bfs
+from .graphs import MOLECULAR_MAX_DEGREE, Graph, _bfs
 # so2 stays importable from this module
 from .indices import _so2_term, so2  # noqa: F401
 
@@ -180,31 +182,28 @@ def _scored_trees(n: int, max_degree: Optional[int]
         yield value, top, tree
 
 
-def _attach(shape: Shape, parent: int, counter: list[int],
-            edges: list[tuple[int, int]]) -> None:
+def _attach(shape: Shape, parent: int, nbrs: list[list[int]]) -> None:
     """Label the root of `shape` with the next vertex id, join it to
     `parent`, then label its subtrees depth first."""
-    counter[0] += 1
-    root = counter[0]
-    edges.append((parent, root))
+    root = len(nbrs)
+    nbrs.append([parent])
+    nbrs[parent].append(root)
     for child in shape:
-        _attach(child, root, counter, edges)
+        _attach(child, root, nbrs)
 
 
 def _graph(n: int, tree: _Tree) -> Graph:
     """The tree rooted at vertex 0, the centroid (or the first half's
-    root), with vertices numbered in depth-first order."""
+    root), with vertices numbered in depth-first order.  Every neighbour
+    list comes out sorted (parent first, then the children in label
+    order), so it is handed to ``Graph`` as built."""
     first, second = tree
-    edges: list[tuple[int, int]] = []
-    counter = [0]
-    if second is None:
-        for branch in first:
-            _attach(branch.shape, 0, counter, edges)
-    else:
-        for child in first.shape:
-            _attach(child, 0, counter, edges)
-        _attach(second.shape, 0, counter, edges)
-    return Graph.from_edges(n, edges)
+    shapes = ([branch.shape for branch in first] if second is None
+              else [*first.shape, second.shape])
+    nbrs: list[list[int]] = [[]]
+    for shape in shapes:
+        _attach(shape, 0, nbrs)
+    return Graph(n, tuple(map(tuple, nbrs)))
 
 
 def canonical_shape(g: Graph) -> Shape:
@@ -258,14 +257,15 @@ def enumerate_molecular_trees(n: int) -> Iterator[Graph]:
     """Stream every tree on n vertices with maximum degree at most four,
     one per isomorphism class."""
     _check_n(n)
-    return (_graph(n, tree) for tree in _trees(n, 4))
+    return (_graph(n, tree) for tree in _trees(n, MOLECULAR_MAX_DEGREE))
 
 
 def count_trees(n: int, *, molecular: bool = False) -> int:
     """Number of trees `enumerate_trees` (or, with `molecular`,
     `enumerate_molecular_trees`) streams, counted without building them."""
     _check_n(n)
-    return sum(1 for _ in _trees(n, 4 if molecular else None))
+    max_degree = MOLECULAR_MAX_DEGREE if molecular else None
+    return sum(1 for _ in _trees(n, max_degree))
 
 
 class _Extreme:
@@ -291,50 +291,39 @@ class _Extreme:
 
 
 class So2Extremes(NamedTuple):
-    """Exact so2 extremes over the free trees of one order, each with
-    every attaining tree."""
+    """Exact so2 extremes over the trees of one order, each with every
+    attaining tree in stream order."""
 
     minimum: tuple[Fraction, list[Graph]]
     maximum: tuple[Fraction, list[Graph]]
     molecular_maximum: tuple[Fraction, list[Graph]]
 
 
-def so2_extremes(n: int) -> So2Extremes:
-    """Minimum and maximum of so2 over all trees on n vertices, and its
-    maximum over the molecular ones (degree <= 4), from a single pass.
-    Each agrees with `argmin_so2`/`argmax_so2`, attainers and order
-    included."""
+def so2_extremes(n: int, *, molecular: bool = False) -> So2Extremes:
+    """Minimum and maximum of so2 over the trees on n vertices (with
+    `molecular`, over the molecular ones only), and its maximum over the
+    molecular ones (degree <= 4), all from a single pass."""
     _check_n(n)
-    low, high, molecular = _Extreme(-1), _Extreme(+1), _Extreme(+1)
-    for value, top, tree in _scored_trees(n, None):
+    max_degree = MOLECULAR_MAX_DEGREE if molecular else None
+    low, high, high_molecular = _Extreme(-1), _Extreme(+1), _Extreme(+1)
+    for value, top, tree in _scored_trees(n, max_degree):
         low.offer(value, tree)
         high.offer(value, tree)
-        if top <= 4:
-            molecular.offer(value, tree)
-    scale, _ = _edge_terms(n, None)
-    return So2Extremes(low.result(n, scale), high.result(n, scale),
-                       molecular.result(n, scale))
-
-
-def _extreme_so2(n: int, molecular: bool,
-                 sign: int) -> tuple[Fraction, list[Graph]]:
-    _check_n(n)
-    max_degree = 4 if molecular else None
-    extreme = _Extreme(sign)
-    for value, _, tree in _scored_trees(n, max_degree):
-        extreme.offer(value, tree)
+        if top <= MOLECULAR_MAX_DEGREE:
+            high_molecular.offer(value, tree)
     scale, _ = _edge_terms(n, max_degree)
-    return extreme.result(n, scale)
+    return So2Extremes(low.result(n, scale), high.result(n, scale),
+                       high_molecular.result(n, scale))
 
 
 def argmax_so2(n: int, *,
                molecular: bool = False) -> tuple[Fraction, list[Graph]]:
     """Exact maximum of so2 over the tree class, with every attaining tree
     (rational ties are exact, so the list is the full argmax set)."""
-    return _extreme_so2(n, molecular, +1)
+    return so2_extremes(n, molecular=molecular).maximum
 
 
 def argmin_so2(n: int, *,
                molecular: bool = False) -> tuple[Fraction, list[Graph]]:
     """Exact minimum of so2 over the tree class, with every attaining tree."""
-    return _extreme_so2(n, molecular, -1)
+    return so2_extremes(n, molecular=molecular).minimum

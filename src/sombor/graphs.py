@@ -12,6 +12,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+# the maximum degree of a molecular tree: the valence of carbon
+MOLECULAR_MAX_DEGREE = 4
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -97,7 +100,7 @@ def is_tree(g: Graph) -> bool:
 
 def is_molecular_tree(g: Graph) -> bool:
     """True iff the graph is a tree of maximum degree at most four."""
-    return is_tree(g) and max(degrees(g), default=0) <= 4
+    return is_tree(g) and max(degrees(g), default=0) <= MOLECULAR_MAX_DEGREE
 
 
 @dataclass(frozen=True)

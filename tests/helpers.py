@@ -19,6 +19,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from hypothesis import strategies as st
+
 from sombor.graphs import Graph, EdgeTypeProfile
 
 # published counts of free trees / trees with maximum degree four, n = 1..16
@@ -113,6 +115,20 @@ def tree_from_pruefer(n: int, sequence: list[int]) -> Graph:
     if n > 1:
         edges.append((leaves[0], leaves[1]))
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def molecular_trees(draw, min_n=1, max_n=60):
+    """Random molecular trees from Pruefer sequences in which no label
+    occurs more than three times (so every degree is at most four)."""
+    n = draw(st.integers(min_n, max_n))
+    uses = [0] * n
+    sequence = []
+    for _ in range(n - 2):
+        v = draw(st.sampled_from([u for u in range(n) if uses[u] < 3]))
+        uses[v] += 1
+        sequence.append(v)
+    return tree_from_pruefer(n, sequence)
 
 
 # --- independent index evaluation (definitional per-edge sums) ---

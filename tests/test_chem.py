@@ -11,21 +11,7 @@ from sombor.enumeration import enumerate_molecular_trees
 from sombor.graphs import degrees, is_molecular_tree
 from sombor.indices import so2
 
-from helpers import ahu_canonical, shuffled_copy, tree_from_pruefer
-
-
-@st.composite
-def molecular_trees(draw, max_n=60):
-    """Random molecular trees from Pruefer sequences in which no label
-    occurs more than three times (so every degree is at most four)."""
-    n = draw(st.integers(1, max_n))
-    uses = [0] * n
-    sequence = []
-    for _ in range(n - 2):
-        v = draw(st.sampled_from([u for u in range(n) if uses[u] < 3]))
-        uses[v] += 1
-        sequence.append(v)
-    return tree_from_pruefer(n, sequence)
+from helpers import ahu_canonical, molecular_trees, shuffled_copy
 
 
 class TestSmilesParsing:
@@ -49,6 +35,11 @@ class TestSmilesParsing:
     def test_vertex_order_follows_token_order(self):
         g = parse_alkane_smiles("CC(C)C")
         assert list(g.edges()) == [(0, 1), (1, 2), (1, 3)]
+        # nested branches around a quaternary carbon (vertex 2)
+        g = parse_alkane_smiles("CC(C(C)(CC)C(C)C)CC")
+        assert list(g.edges()) == [(0, 1), (1, 2), (1, 9), (2, 3), (2, 4),
+                                   (2, 6), (4, 5), (6, 7), (6, 8), (9, 10)]
+        assert degrees(g)[2] == 4
 
     def test_every_parse_is_molecular(self):
         for smiles in ("C", "CC", "CC(C)(C)C", "CCC(CC)C(C)C"):
@@ -80,7 +71,8 @@ class TestSmilesParsing:
                 parse_alkane_smiles(bad)
 
     def test_valence_overflow(self):
-        with pytest.raises(SmilesError, match="valence"):
+        with pytest.raises(SmilesError,
+                           match="position 13: carbon valence exceeds 4"):
             parse_alkane_smiles("C(C)(C)(C)(C)C")
 
     def test_error_positions(self):

@@ -1,10 +1,20 @@
 from pathlib import Path
 
+import pytest
+
 from sombor.cli import OutputEnvelope, run
 
 # stdout of `sombor extremal --verify-up-to 12` from the graph-by-graph
 # verifier that preceded the shape-level scan
 VERIFY_12_GOLDEN = Path(__file__).parent / "data" / "extremal_verify_up_to_12.txt"
+# stdout of `sombor enumerate --n 10 [--molecular]` from the enumerator
+# that built each tree through an edge list and `Graph.from_edges`; the
+# free trees include both centroid kinds
+ENUMERATE_10_GOLDENS = {
+    (): Path(__file__).parent / "data" / "enumerate_n10_edgelist.txt",
+    ("--molecular",): (Path(__file__).parent / "data"
+                       / "enumerate_n10_molecular_edgelist.txt"),
+}
 
 
 def lines_of(capsys):
@@ -81,6 +91,14 @@ class TestEnumerate:
         first = capsys.readouterr().out
         run(["enumerate", "--n", "9", "--molecular"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("flags", list(ENUMERATE_10_GOLDENS),
+                             ids=["free", "molecular"])
+    def test_edgelist_matches_golden_bytes(self, flags, capsys):
+        envelope = run(["enumerate", "--n", "10", *flags])
+        assert envelope.exit_status == 0
+        assert (capsys.readouterr().out
+                == ENUMERATE_10_GOLDENS[flags].read_text(encoding="utf-8"))
 
     def test_cap_violation_exits_one(self, capsys):
         envelope = run(["enumerate", "--n", "25", "--emit", "count"])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from sombor.enumeration import argmax_so2, enumerate_molecular_trees
 from sombor.extremal import (FAMILIES, InconsistentProfileError,
@@ -10,10 +11,11 @@ from sombor.extremal import (FAMILIES, InconsistentProfileError,
                              is_in_family, molecular_so2_max,
                              solve_degree_system, so2_via_degree_system,
                              tree_so2_bounds, verify_extremal_bounds)
-from sombor.graphs import EdgeTypeProfile, edge_type_profile
+from sombor.graphs import EdgeTypeProfile, degrees, edge_type_profile
 from sombor.indices import so2, so2_from_profile
 
-from helpers import random_tree, solve_degree_system_by_elimination
+from helpers import (molecular_trees, random_tree,
+                     solve_degree_system_by_elimination)
 
 
 class TestBuilders:
@@ -234,6 +236,19 @@ class TestReducedForm:
     def test_explicit_n_argument(self):
         p = edge_type_profile(build_path(8))
         assert so2_via_degree_system(p, 8) == Fraction(6, 5)
+
+    @settings(deadline=None)
+    @given(molecular_trees(min_n=3, max_n=60))
+    def test_random_trees_beyond_exhaustive_reach(self, g):
+        # graph, profile and degree-system so2 agree, and the system
+        # recovers the counts read directly off the tree
+        p = edge_type_profile(g)
+        assert so2(g).exact == so2_from_profile(p) == so2_via_degree_system(p)
+        deg = degrees(g)
+        pairs = [sorted((deg[u], deg[v])) for u, v in g.edges()]
+        assert solve_degree_system(p) == (
+            pairs.count([1, 4]), pairs.count([2, 4]),
+            *(deg.count(i) for i in (1, 2, 3, 4)))
 
 
 # printed reference values for the ten candidate degree-3 splits
