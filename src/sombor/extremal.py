@@ -1,16 +1,19 @@
 """Extremal trees for the second Sombor index.
 
-Closed forms: among all trees on n >= 3 vertices, so2 is minimized
-exactly by the path (value 6/5) and maximized exactly by the star
-(value (n^2-2n)(n-1) / (n^2-2n+2)).  Among molecular trees the maximum
-depends on n mod 4 and is attained by four structural families, one per
-residue class.  This module builds canonical members of those families,
-tests membership, evaluates the closed-form bounds, carries the linear
-system tying the edge-type counts m_ij of a molecular tree together,
-and cross-checks all of it against exhaustive enumeration.  The
-cross-check makes one pass over the free trees of each order, with so2
-evaluated exactly on the enumerator's canonical shapes; only the trees
-attaining an extreme are built as graphs and tested for membership.
+Each extremal result is one edge-type signature: counts m_ij of the
+edges joining degrees i and j, which fix so2 = sum of m_ij*F(i, j).
+Among all trees on n >= 3 vertices, so2 is minimized exactly by the path
+(m_12 = 2, m_22 = n - 3; value 6/5) and maximized exactly by the star
+(m_1,n-1 = n - 1; value (n^2-2n)(n-1) / (n^2-2n+2)).  Among molecular
+trees the maximum depends on n mod 4 and is attained by four families,
+one per residue class, given by their signatures in ``FAMILIES``.  Each
+closed form is the sum over its signature, and membership is a
+comparison of edge-type counts with it.  This module also builds
+canonical family members, solves the six counting identities of a
+molecular tree, and cross-checks everything against exhaustive
+enumeration: one pass over the free trees of each order, with so2
+evaluated exactly on canonical shapes and only the attainers built as
+graphs.
 """
 
 from __future__ import annotations
@@ -19,10 +22,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .graphs import Graph, EdgeTypeProfile, degrees, edge_type_counts, \
-    is_molecular_tree
+from .graphs import Graph, EdgeTypeProfile, edge_type_counts, is_tree
+from .indices import KERNELS, _kernel_sum
 # argmax_so2 and argmin_so2 stay importable from this module
-from .enumeration import argmax_so2, argmin_so2, so2_extremes  # noqa: F401
+from .enumeration import _check_n, argmax_so2, argmin_so2, so2_extremes  # noqa: F401
+
+EdgeCounts = dict[tuple[int, int], int]
+
+
+def _so2(m: EdgeCounts) -> Fraction:
+    """so2 of the edge-type counts m: the sum of m_ij * F(i, j)."""
+    return _kernel_sum(m, KERNELS["so2"]).exact
+
+
+def _has_signature(g: Graph, m: EdgeCounts) -> bool:
+    """True iff g is a tree whose edge-type counts are exactly m (zero
+    counts in m stand for absent edge types)."""
+    return is_tree(g) and edge_type_counts(g) == {
+        key: count for key, count in m.items() if count}
+
+
+def _tree_signatures(n: int) -> tuple[EdgeCounts, EdgeCounts]:
+    """Edge-type signatures of the path and the star on n >= 3 vertices."""
+    return {(1, 2): 2, (2, 2): n - 3}, {(1, n - 1): n - 1}
 
 
 def build_path(n: int) -> Graph:
@@ -56,7 +78,7 @@ class FamilySignature:
     min_n: int
     coeffs: tuple[tuple[tuple[int, int], int, int], ...]  # ((i,j), a, b)
 
-    def mij(self, n: int) -> dict[tuple[int, int], int]:
+    def mij(self, n: int) -> EdgeCounts:
         """Required edge-type counts at vertex count n.
 
         Raises ``ValueError`` when n has the wrong residue or any count
@@ -100,7 +122,9 @@ def _caterpillar(spine: list[int]) -> Graph:
 def build_family_member(residue: int, n: int) -> Graph:
     """Canonical member of the extremal family for ``n % 4 == residue``:
     a caterpillar whose spine alternates degree-4 and degree-2 vertices,
-    with the family's special vertices at one end."""
+    with the family's special vertices at the ends (4-4 and 3-4 at the
+    head in families 0 and 3, a degree-2 tail in family 2), n // 4
+    degree-4 vertices in all."""
     if residue not in (0, 1, 2, 3):
         raise ValueError("residue must be 0, 1, 2 or 3")
     sig = FAMILIES[residue]
@@ -108,70 +132,52 @@ def build_family_member(residue: int, n: int) -> Graph:
         raise ValueError(f"family {residue} needs n == {residue} (mod 4), got n={n}")
     if n < sig.min_n:
         raise ValueError(f"family {residue} needs n >= {sig.min_n}, got n={n}")
-    if residue == 0:
-        k4 = n // 4
-        spine = [4, 4] + [2, 4] * (k4 - 2)
-    elif residue == 1:
-        k4 = (n - 1) // 4
-        spine = [4] + [2, 4] * (k4 - 1)
-    elif residue == 2:
-        k4 = (n - 2) // 4
-        spine = [4] + [2, 4] * (k4 - 1) + [2]
-    else:
-        k4 = (n - 3) // 4
-        spine = [3] + [4, 2] * (k4 - 1) + [4]
-    g = _caterpillar(spine)
+    head, tail = (([4, 4], []), ([4], []), ([4], [2]), ([3, 4], []))[residue]
+    g = _caterpillar(head + [2, 4] * (n // 4 - head.count(4)) + tail)
     assert g.n == n
     return g
 
 
 def is_in_family(g: Graph, residue: int) -> bool:
     """Membership in the extremal family for the given residue class:
-    a molecular tree whose edge-type counts equal the family signature.
+    a tree whose edge-type counts equal the family signature.
 
     Degenerate trees too small to carry the signature fail the
-    comparison.  The counts also imply the family's adjacency
-    conditions: the only edge types a signature allows at degree-2 and
-    degree-3 vertices are 2-4, family 2's one 1-2 and family 3's two 1-3
-    and one 3-4.  So family 3's lone degree-3 vertex has neighbour
-    degrees 1, 1, 4, and every degree-2 vertex has neighbour degrees
-    4, 4, except one with 1, 4 in family 2.
+    comparison.  A signature allows no degree above four, so its trees
+    are molecular, and it implies the family's adjacency conditions: the
+    only edge types it allows at degree-2 and degree-3 vertices are 2-4,
+    family 2's one 1-2 and family 3's two 1-3 and one 3-4.  So family
+    3's lone degree-3 vertex has neighbour degrees 1, 1, 4, and every
+    degree-2 vertex has neighbour degrees 4, 4, except one with 1, 4 in
+    family 2.
     """
     if residue not in (0, 1, 2, 3):
         raise ValueError("residue must be 0, 1, 2 or 3")
-    if not is_molecular_tree(g) or g.n % 4 != residue:
-        return False
     try:
         required = FAMILIES[residue].mij(g.n)
     except ValueError:
         return False
     # the signature fixes the 4-4 edges too: one in family 0, none elsewhere
-    return edge_type_counts(g) == {key: count
-                                   for key, count in required.items() if count}
+    return _has_signature(g, required)
 
 
 def tree_so2_bounds(n: int) -> tuple[Fraction, Fraction]:
-    """Exact (min, max) of so2 over all trees on n >= 3 vertices:
-    6/5 for the path and (n^2-2n)(n-1)/(n^2-2n+2) for the star."""
+    """Exact (min, max) of so2 over all trees on n >= 3 vertices: the so2
+    of the path signature, 2*(3/5) + (n-3)*0 = 6/5, and of the star
+    signature, (n-1)*((n-1)^2-1)/((n-1)^2+1) = (n^2-2n)(n-1)/(n^2-2n+2)."""
     if n <= 2:
         raise ValueError("bounds require n >= 3 (so2 of a single edge is 0)")
-    q = n * n - 2 * n
-    return Fraction(6, 5), Fraction(q * (n - 1), q + 2)
+    path, star = _tree_signatures(n)
+    return _so2(path), _so2(star)
 
 
 def molecular_so2_max(n: int) -> Fraction:
-    """Exact maximum of so2 over molecular trees on n >= 5 vertices,
-    by residue class of n mod 4."""
+    """Exact maximum of so2 over molecular trees on n >= 5 vertices: the
+    so2 of the family signature for n mod 4, which is (126n - 108)/170,
+    (126n - 30)/170, (126n - 102)/170 or (315n - 281)/425 by residue."""
     if n < 5:
         raise ValueError("closed-form molecular maximum requires n >= 5")
-    r = n % 4
-    if r == 0:
-        return Fraction(126 * n - 108, 170)
-    if r == 1:
-        return Fraction(126 * n - 30, 170)
-    if r == 2:
-        return Fraction(126 * n - 102, 170)
-    return Fraction(315 * n - 281, 425)
+    return _so2(FAMILIES[n % 4].mij(n))
 
 
 class SolvedDegreeSystem(NamedTuple):
@@ -183,17 +189,38 @@ class SolvedDegreeSystem(NamedTuple):
     n4: int
 
 
+# the edge types whose counts, with n, fix the rest of a molecular tree
+_FREE_TYPES = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4))
+
+
+def _solve(n: int, m: EdgeCounts) -> tuple[Fraction, ...]:
+    """(m14, m24, n1, n2, n3, n4) from n and the counts m of the free
+    edge types, one identity at a time; nothing is checked."""
+    m12, m13, m22, m23, m33, m34, m44 = (m.get(key, 0) for key in _FREE_TYPES)
+    n3 = Fraction(m13 + m23 + 2 * m33 + m34, 3)  # the degree-3 ends
+    # the degree-1, -2 and -4 ends give n1 + 2 n2 - 4 n4 = k; the vertex
+    # and handshake counts make it 2n - 2 - 3 n3 - 8 n4, with n1 = n3 + 2 n4 + 2
+    k = 2 * m12 + m13 + 2 * m22 + m23 - m34 - 2 * m44
+    n4 = (2 * n - 2 - 3 * n3 - k) / 8
+    n1 = n3 + 2 * n4 + 2
+    n2 = n - n1 - n3 - n4
+    # the leaf ends and the degree-2 ends left over
+    m14 = n1 - m12 - m13
+    m24 = 2 * n2 - m12 - 2 * m22 - m23
+    return m14, m24, n1, n2, n3, n4
+
+
 def solve_degree_system(profile: EdgeTypeProfile) -> SolvedDegreeSystem:
     """Recover m_14, m_24 and the degree counts n_1..n_4 of a molecular
     tree from its remaining edge-type counts and vertex count.
 
     The counts of a molecular tree satisfy six independent linear
-    relations (vertex count, edge endpoint count, and one incidence
-    identity per degree class); solving them for m_14, m_24, n_1..n_4
-    gives each as an affine combination of n and the seven counts
-    m_12, m_13, m_22, m_23, m_33, m_34, m_44.  Profiles that make any
-    solution negative or fractional cannot come from a molecular tree
-    and raise ``InconsistentProfileError``.
+    relations: the vertex count, the edge endpoint count, and one
+    incidence identity per degree class.  They are solved one at a time
+    for n_3, n_4, n_1, n_2, m_14 and m_24, each an affine combination of
+    n and the seven counts m_12, m_13, m_22, m_23, m_33, m_34, m_44.
+    Profiles that make any solution negative or fractional cannot come
+    from a molecular tree and raise ``InconsistentProfileError``.
     """
     for (i, j) in profile.m:
         if not (1 <= i <= 4 and 1 <= j <= 4):
@@ -201,33 +228,9 @@ def solve_degree_system(profile: EdgeTypeProfile) -> SolvedDegreeSystem:
     if profile.count(1, 1):
         raise InconsistentProfileError(
             "leaf-leaf edge: the system models molecular trees on >= 3 vertices")
-    n = profile.n
-    m12 = profile.count(1, 2)
-    m13 = profile.count(1, 3)
-    m22 = profile.count(2, 2)
-    m23 = profile.count(2, 3)
-    m33 = profile.count(3, 3)
-    m34 = profile.count(3, 4)
-    m44 = profile.count(4, 4)
-    half = Fraction(1, 2)
-    sixth = Fraction(1, 6)
-    values = (
-        half * (n + 3) - 3 * half * m12 - 7 * sixth * m13 - half * m22
-        - sixth * m23 + sixth * m33 + Fraction(m34, 3) + half * m44,
-        half * (n - 5) + half * m12 + sixth * m13 - half * m22
-        - 5 * sixth * m23 - 7 * sixth * m33 - Fraction(4 * m34, 3) - 3 * half * m44,
-        half * (n + 3) - half * m12 - sixth * m13 - half * m22
-        - sixth * m23 + sixth * m33 + Fraction(m34, 3) + half * m44,
-        Fraction(n - 5, 4) + Fraction(3 * m12, 4) + Fraction(m13, 12)
-        + Fraction(3 * m22, 4) + Fraction(m23, 12) - Fraction(7 * m33, 12)
-        - Fraction(2 * m34, 3) - Fraction(3 * m44, 4),
-        Fraction(m13 + m23 + 2 * m33 + m34, 3),
-        Fraction(n - 1, 4) - Fraction(m12, 4) - Fraction(m13, 4)
-        - Fraction(m22, 4) - Fraction(m23, 4) - Fraction(m33, 4)
-        + Fraction(m44, 4),
-    )
     out = []
-    for name, value in zip(SolvedDegreeSystem._fields, values):
+    for name, value in zip(SolvedDegreeSystem._fields,
+                           _solve(profile.n, profile.m)):
         if value.denominator != 1 or value < 0:
             raise InconsistentProfileError(
                 f"{name} = {value} is not a nonnegative integer")
@@ -235,47 +238,36 @@ def solve_degree_system(profile: EdgeTypeProfile) -> SolvedDegreeSystem:
     return SolvedDegreeSystem(*out)
 
 
-# so2 deficit per unit of each edge type, relative to the all-(1,4)/(2,4)
-# optimum; obtained by substituting the solved m_14 and m_24 back into
-# the per-edge sum.  The m_22 coefficient is 63/85 = 15/34 + 3/10 (one
-# m_22 edge displaces half an m_14 edge and half an m_24 edge).
-_REDUCTION_PENALTIES = {
-    (1, 2): Fraction(36, 85),
-    (1, 3): Fraction(11, 85),
-    (2, 2): Fraction(63, 85),
-    (2, 3): Fraction(58, 221),
-    (3, 3): Fraction(47, 85),
-    (3, 4): Fraction(96, 425),
-    (4, 4): Fraction(39, 85),
-}
+def _so2_eliminated(n: int, m: EdgeCounts) -> Fraction:
+    """so2 with m_14 and m_24 solved from n and the free counts in m."""
+    free = {key: m.get(key, 0) for key in _FREE_TYPES}
+    m14, m24 = _solve(n, free)[:2]
+    return _so2({**free, (1, 4): m14, (2, 4): m24})
 
 
 def so2_via_degree_system(profile: EdgeTypeProfile,
                           n: Optional[int] = None) -> Fraction:
-    """so2 of a molecular tree (n >= 3) written as the residue-free
-    maximum (126n - 30)/170 minus a penalty per off-optimal edge type.
+    """so2 of a molecular tree (n >= 3) with m_14 and m_24 eliminated.
 
-    Agrees exactly with ``so2_from_profile`` on every molecular-tree
-    profile.
+    This is the residue-free maximum (126n - 30)/170 minus a penalty per
+    off-optimal edge: 36/85 per 1-2, 11/85 per 1-3, 63/85 per 2-2, 58/221
+    per 2-3, 47/85 per 3-3, 96/425 per 3-4 and 39/85 per 4-4.  Agrees
+    exactly with ``so2_from_profile`` on every molecular-tree profile.
     """
-    if n is None:
-        n = profile.n
-    total = Fraction(126 * n - 30, 170)
-    for key, penalty in _REDUCTION_PENALTIES.items():
-        total -= penalty * profile.count(*key)
-    return total
+    return _so2_eliminated(profile.n if n is None else n, profile.m)
 
 
 def degree_three_penalty(m13: int, m23: int, m33: int, m34: int) -> Fraction:
     """Total so2 penalty of the edges accounted to a single degree-3
     vertex, for a split (m13, m23, m33, m34) of its three edge slots
-    (m13 + m23 + 2*m33 + m34 must equal 3)."""
+    (m13 + m23 + 2*m33 + m34 must equal 3): the so2 it costs against
+    a tree of the same order without those edges."""
     if min(m13, m23, m33, m34) < 0:
         raise ValueError("edge counts must be nonnegative")
     if m13 + m23 + 2 * m33 + m34 != 3:
         raise ValueError("split must satisfy m13 + m23 + 2*m33 + m34 == 3")
     split = {(1, 3): m13, (2, 3): m23, (3, 3): m33, (3, 4): m34}
-    return sum(_REDUCTION_PENALTIES[key] * count for key, count in split.items())
+    return _so2_eliminated(0, {}) - _so2_eliminated(0, split)
 
 
 def degree_three_edge_splits() -> list[tuple[int, int, int, int]]:
@@ -319,44 +311,33 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _is_path(g: Graph) -> bool:
-    if g.n <= 2:
-        return g.edge_count == g.n - 1
-    counts = sorted(degrees(g))
-    return counts[0] == counts[1] == 1 and counts[2:] == [2] * (g.n - 2)
-
-
-def _is_star(g: Graph) -> bool:
-    return g.n >= 2 and sorted(degrees(g))[-1] == g.n - 1 and g.edge_count == g.n - 1
-
-
 def verify_extremal_bounds(n_max: int) -> VerificationReport:
     """Brute-force check, for every 3 <= n <= n_max, that the closed-form
     extremal values and their attaining trees match exhaustive
-    enumeration exactly.  Violations become report entries, not errors.
+    enumeration exactly.  Violations become report entries, not errors;
+    an n_max below 3 or above the enumeration cap raises ``ValueError``
+    before any scan.
 
     Each n takes one pass over the free trees (`so2_extremes`), which
     yields the minimum, the maximum and the molecular maximum together;
-    only their attainers are built as graphs and checked structurally.
+    only their attainers are built as graphs and compared with the
+    signatures.
     """
+    if n_max < 3:
+        raise ValueError(f"verification needs n_max >= 3, got {n_max}")
+    _check_n(n_max)
     checks: list[BoundCheck] = []
     for n in range(3, n_max + 1):
-        lower, upper = tree_so2_bounds(n)
         extremes = so2_extremes(n)
-
-        min_value, minimizers = extremes.minimum
-        ok = (min_value == lower and len(minimizers) == 1
-              and _is_path(minimizers[0]))
-        checks.append(BoundCheck(
-            n, "tree_min", ok,
-            f"min={min_value} expected={lower} attained_by={len(minimizers)}"))
-
-        max_value, maximizers = extremes.maximum
-        ok = (max_value == upper and len(maximizers) == 1
-              and _is_star(maximizers[0]))
-        checks.append(BoundCheck(
-            n, "tree_max", ok,
-            f"max={max_value} expected={upper} attained_by={len(maximizers)}"))
+        path, star = _tree_signatures(n)
+        for label, signature, (value, attainers) in (
+                ("min", path, extremes.minimum), ("max", star, extremes.maximum)):
+            expected = _so2(signature)
+            ok = (value == expected and len(attainers) == 1
+                  and _has_signature(attainers[0], signature))
+            checks.append(BoundCheck(
+                n, f"tree_{label}", ok,
+                f"{label}={value} expected={expected} attained_by={len(attainers)}"))
 
         if n < 5:
             continue

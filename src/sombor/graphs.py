@@ -35,15 +35,18 @@ class Graph:
             raise ValueError("adjacency length does not match vertex count")
         neighbor_sets = []
         for v, nbrs in enumerate(self.adjacency):
-            s = set(nbrs)
-            if len(s) != len(nbrs):
-                raise ValueError(f"duplicate neighbor in adjacency of vertex {v}")
-            if v in s:
-                raise ValueError(f"self-loop at vertex {v}")
-            for u in s:
+            previous = -1
+            for u in nbrs:
                 if not 0 <= u < self.n:
                     raise ValueError(f"neighbor {u} of vertex {v} out of range")
-            neighbor_sets.append(s)
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {v}")
+                if u == previous:
+                    raise ValueError(f"duplicate neighbor in adjacency of vertex {v}")
+                if u < previous:
+                    raise ValueError(f"adjacency of vertex {v} is not sorted")
+                previous = u
+            neighbor_sets.append(set(nbrs))
         for v, s in enumerate(neighbor_sets):
             for u in s:
                 if v not in neighbor_sets[u]:
@@ -54,8 +57,9 @@ class Graph:
         """Build a graph from an edge list, sorting each neighbor list."""
         nbrs: list[list[int]] = [[] for _ in range(max(n, 0))]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {u}-{v} out of range for n={n}")
+            problem = _edge_problem(n, u, v)
+            if problem:
+                raise ValueError(problem)
             nbrs[u].append(v)
             nbrs[v].append(u)
         return cls(n, tuple(tuple(sorted(a)) for a in nbrs))
@@ -73,6 +77,13 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+
+def _edge_problem(n: int, u: int, v: int) -> str:
+    """Why u-v cannot be an edge of a simple graph on n vertices, or ""."""
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge {u}-{v} out of range for n={n}"
+    return f"self-loop at vertex {u}" if u == v else ""
 
 
 def degrees(g: Graph) -> list[int]:
@@ -169,11 +180,13 @@ def edge_type_profile(g: Graph) -> EdgeTypeProfile:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain-text edge-list format: first line "n m", then m
-    lines "u v" with 0-based vertex ids."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    lines "u v" with 0-based vertex ids.  Blank lines are skipped; errors
+    name the line number in the text."""
+    lines = [(idx, raw.strip()) for idx, raw in enumerate(text.splitlines(), 1)
+             if raw.strip()]
     if not lines:
         raise ValueError("empty edge-list input")
-    head = lines[0].split()
+    head = lines[0][1].split()
     if len(head) != 2:
         raise ValueError('first line must be "n m"')
     try:
@@ -182,8 +195,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError('first line must contain two integers "n m"') from None
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for idx, ln in enumerate(lines[1:], start=2):
+    edges: set[tuple[int, int]] = set()
+    for idx, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f'line {idx}: expected "u v"')
@@ -191,7 +204,12 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"line {idx}: vertex ids must be integers") from None
-        edges.append((u, v))
+        key = (min(u, v), max(u, v))
+        problem = _edge_problem(n, u, v) or (
+            f"repeated edge {u}-{v}" if key in edges else "")
+        if problem:
+            raise ValueError(f"line {idx}: {problem}")
+        edges.add(key)
     return Graph.from_edges(n, edges)
 
 

@@ -131,6 +131,16 @@ def molecular_trees(draw, min_n=1, max_n=60):
     return tree_from_pruefer(n, sequence)
 
 
+@st.composite
+def simple_graphs(draw, min_n=1, max_n=10):
+    """Random simple graphs: any set of vertex pairs, so edgeless graphs,
+    isolated vertices, forests and cycles all occur."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, edges)
+
+
 # --- independent index evaluation (definitional per-edge sums) ---
 
 # F(x, y) for endpoint degrees x, y: exact for the rational kernels,

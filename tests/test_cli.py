@@ -137,6 +137,18 @@ class TestExtremal:
         assert out[-1] == "0 violations"
         assert not any("VIOLATION" in line for line in out)
 
+    def test_verify_rejects_orders_it_cannot_check(self, capsys, monkeypatch):
+        # below n = 3 nothing would be checked
+        for bad in ("2", "1", "0"):
+            envelope = run(["extremal", "--verify-up-to", bad])
+            assert envelope.exit_status == 1
+            assert "n_max >= 3" in envelope.warnings[0]
+        monkeypatch.setenv("SOMBOR_MAX_N", "6")
+        envelope = run(["extremal", "--verify-up-to", "7"])
+        assert envelope.exit_status == 1
+        assert envelope.warnings == ("n=7 exceeds the enumeration cap 6",)
+        assert capsys.readouterr().out == ""
+
     def test_family_member_emission(self, capsys):
         envelope = run(["extremal", "--n", "9", "--family", "1"])
         assert envelope.exit_status == 0

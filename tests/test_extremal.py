@@ -152,6 +152,19 @@ class TestClosedFormBounds:
         with pytest.raises(ValueError):
             molecular_so2_max(4)
 
+    def test_paper_closed_forms_to_one_thousand(self):
+        # the literal formulas of the paper; the library sums signatures
+        for n in range(3, 1001):
+            q = n * n - 2 * n
+            assert tree_so2_bounds(n) == (Fraction(6, 5),
+                                          Fraction(q * (n - 1), q + 2))
+        residue_forms = (lambda n: Fraction(126 * n - 108, 170),
+                         lambda n: Fraction(126 * n - 30, 170),
+                         lambda n: Fraction(126 * n - 102, 170),
+                         lambda n: Fraction(315 * n - 281, 425))
+        for n in range(5, 1001):
+            assert molecular_so2_max(n) == residue_forms[n % 4](n)
+
     def test_monotone_degree_ratio(self):
         # x -> (x^2 - 1)/(x^2 + 1) must increase for x > 0
         grid = [Fraction(k, 7) for k in range(1, 200)]
@@ -212,6 +225,19 @@ class TestDegreeSystem:
                 solve_degree_system_by_elimination(p)
 
 
+# so2 lost per edge of each off-optimal type, against the all-(1,4)/(2,4)
+# molecular tree of the same order
+PENALTIES = {
+    (1, 2): Fraction(36, 85),
+    (1, 3): Fraction(11, 85),
+    (2, 2): Fraction(63, 85),
+    (2, 3): Fraction(58, 221),
+    (3, 3): Fraction(47, 85),
+    (3, 4): Fraction(96, 425),
+    (4, 4): Fraction(39, 85),
+}
+
+
 class TestReducedForm:
     def test_path_profile(self):
         p = edge_type_profile(build_path(8))
@@ -232,6 +258,14 @@ class TestReducedForm:
                 p = edge_type_profile(g)
                 assert (so2_via_degree_system(p) == so2_from_profile(p)
                         == so2(g).exact)
+
+    def test_paper_penalties(self):
+        # so2 = (126n - 30)/170 minus these per-edge penalties, exactly
+        for n in range(3, 13):
+            for g in enumerate_molecular_trees(n):
+                p = edge_type_profile(g)
+                assert so2_from_profile(p) == Fraction(126 * n - 30, 170) - sum(
+                    penalty * p.count(*key) for key, penalty in PENALTIES.items())
 
     def test_explicit_n_argument(self):
         p = edge_type_profile(build_path(8))
@@ -291,6 +325,12 @@ class TestDegreeThreeSplits:
             assert abs(float(degree_three_penalty(*split))
                        - SPLIT_REFERENCE[split]) < 1e-4
 
+    def test_split_penalty_is_its_edges_penalties(self):
+        for m13, m23, m33, m34 in degree_three_edge_splits():
+            assert degree_three_penalty(m13, m23, m33, m34) == (
+                m13 * PENALTIES[1, 3] + m23 * PENALTIES[2, 3]
+                + m33 * PENALTIES[3, 3] + m34 * PENALTIES[3, 4])
+
     def test_minimum_is_two_leaf_one_quaternary(self):
         best = min(degree_three_edge_splits(), key=lambda s: degree_three_penalty(*s))
         assert best == (2, 0, 0, 1)
@@ -303,6 +343,20 @@ class TestVerifier:
         labels = {(c.n, c.label) for c in report.checks}
         assert (3, "tree_min") in labels
         assert (10, "molecular_max_family") in labels
+
+    def test_rejects_bad_n_max_before_any_scan(self, monkeypatch):
+        from sombor import extremal
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before validating n_max")
+
+        monkeypatch.setattr(extremal, "so2_extremes", no_scan)
+        for bad in (2, 1, 0, -3):
+            with pytest.raises(ValueError, match="n_max >= 3"):
+                verify_extremal_bounds(bad)
+        monkeypatch.setenv("SOMBOR_MAX_N", "9")
+        with pytest.raises(ValueError, match="n=10 exceeds the enumeration cap 9"):
+            verify_extremal_bounds(10)
 
     def test_degenerate_case_is_reported(self):
         report = verify_extremal_bounds(8)

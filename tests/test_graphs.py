@@ -42,6 +42,23 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    def test_rejects_unsorted_adjacency(self):
+        # accepted, this graph would list its edges as (0, 2), (0, 1) and
+        # differ from its from_edges twin
+        with pytest.raises(ValueError, match="adjacency of vertex 0 is not sorted"):
+            Graph(3, ((2, 1), (0,), (0,)))
+        assert Graph(3, ((1, 2), (0,), (0,))) == Graph.from_edges(3, [(0, 2), (0, 1)])
+
+    def test_negative_neighbor_is_out_of_range(self):
+        with pytest.raises(ValueError, match="neighbor -1 of vertex 0 out of range"):
+            Graph(2, ((-1,), (0,)))
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(2, ((1, -1), (0,)))
+
+    def test_from_edges_names_a_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 0"):
+            Graph.from_edges(2, [(0, 0)])
+
     def test_immutable(self):
         g = path(3)
         with pytest.raises(AttributeError):
@@ -173,3 +190,16 @@ class TestEdgeListFormat:
             parse_edge_list("2 1\n0 x\n")
         with pytest.raises(ValueError, match="out of range"):
             parse_edge_list("2 1\n0 5\n")
+
+    def test_parse_names_the_line_of_a_bad_edge(self):
+        with pytest.raises(ValueError, match="line 3: edge 1-5 out of range for n=3"):
+            parse_edge_list("3 2\n0 1\n1 5\n")
+        with pytest.raises(ValueError, match="line 2: edge -1-0 out of range"):
+            parse_edge_list("3 2\n-1 0\n1 2\n")
+        with pytest.raises(ValueError, match="line 3: self-loop at vertex 2"):
+            parse_edge_list("3 2\n0 1\n2 2\n")
+        with pytest.raises(ValueError, match="line 4: repeated edge 1-0"):
+            parse_edge_list("3 3\n0 1\n1 2\n1 0\n")
+        # blank lines count: the number is the line's place in the text
+        with pytest.raises(ValueError, match="line 4: edge 1-5 out of range"):
+            parse_edge_list("3 2\n\n0 1\n1 5\n")

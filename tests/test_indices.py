@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sombor.graphs import Graph, degrees, edge_type_profile
 from sombor.indices import (INDEX_NAMES, KERNELS, IndexValue, index_by_name,
@@ -10,7 +11,7 @@ from sombor.indices import (INDEX_NAMES, KERNELS, IndexValue, index_by_name,
                             so2_upper_bound, vdb_index)
 
 from helpers import (EDGE_KERNELS, index_by_definition, random_graph,
-                     random_tree, shuffled_copy)
+                     random_tree, shuffled_copy, simple_graphs)
 
 
 def path(n):
@@ -222,6 +223,23 @@ class TestUpperBound:
                 else:
                     assert value <= g.edge_count
             assert (value == 0) == _all_components_regular(g)
+
+    @settings(deadline=None)
+    @given(simple_graphs(max_n=12))
+    def test_bound_property(self, g):
+        # the bound holds with d and D taken over the edge endpoints, and
+        # so2 vanishes exactly when every component is regular
+        value = so2(g).exact
+        assert value >= 0
+        assert (value == 0) == _all_components_regular(g)
+        touched = [d for d in degrees(g) if d]
+        if touched:
+            assert value <= so2_upper_bound(g.edge_count, min(touched),
+                                            max(touched))
+
+    @given(st.integers(2, 300))
+    def test_stars_attain_the_bound(self, n):
+        assert so2(star(n)).exact == so2_upper_bound(n - 1, 1, n - 1)
 
 
 class TestRatioIdentity:
