@@ -91,6 +91,8 @@ def _cmd_extremal(args: argparse.Namespace) -> list[str]:
     if args.n is None:
         raise ValueError("extremal needs --n or --verify-up-to")
     n = args.n
+    if n < 1:
+        raise ValueError("n must be positive")
     lines.append(_kv("n", str(n), fmt))
     if n >= 3:
         lower, upper = tree_so2_bounds(n)

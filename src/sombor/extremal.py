@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .graphs import Graph, EdgeTypeProfile, edge_type_counts, is_tree
+from .graphs import Graph, EdgeTypeProfile, is_tree
 from .indices import KERNELS, _kernel_sum
 # argmax_so2 and argmin_so2 stay importable from this module
 from .enumeration import _check_n, argmax_so2, argmin_so2, so2_extremes  # noqa: F401
@@ -38,7 +38,7 @@ def _so2(m: EdgeCounts) -> Fraction:
 def _has_signature(g: Graph, m: EdgeCounts) -> bool:
     """True iff g is a tree whose edge-type counts are exactly m (zero
     counts in m stand for absent edge types)."""
-    return is_tree(g) and edge_type_counts(g) == {
+    return is_tree(g) and g._edge_types == {
         key: count for key, count in m.items() if count}
 
 

@@ -10,10 +10,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 # the maximum degree of a molecular tree: the valence of carbon
 MOLECULAR_MAX_DEGREE = 4
+
+# one shared key object per edge type (i, j), so a graph's edge-type
+# counts hold no tuples of their own
+_EDGE_TYPE_KEYS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 @dataclass(frozen=True)
@@ -23,6 +28,7 @@ class Graph:
     ``adjacency[v]`` is a sorted tuple of the neighbors of ``v``.  No
     self-loops, no parallel edges, and the adjacency relation is
     symmetric; violations raise ``ValueError`` at construction time.
+    Equality, hashing and repr use ``n`` and ``adjacency`` only.
     """
 
     n: int
@@ -77,6 +83,22 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+    @cached_property
+    def _edge_types(self) -> dict[tuple[int, int], int]:
+        """The m_ij of ``edge_type_counts``, counted on first use and
+        shared by every later reader, none of which may change it."""
+        adjacency = self.adjacency
+        m: dict[tuple[int, int], int] = {}
+        for u, nbrs in enumerate(adjacency):
+            du = len(nbrs)
+            for v in nbrs:
+                if u < v:
+                    dv = len(adjacency[v])
+                    key = (du, dv) if du <= dv else (dv, du)
+                    m[key] = m.get(key, 0) + 1
+        return {_EDGE_TYPE_KEYS.setdefault(key, key): count
+                for key, count in m.items()}
 
 
 def _edge_problem(n: int, u: int, v: int) -> str:
@@ -159,17 +181,10 @@ class EdgeTypeProfile:
 
 def edge_type_counts(g: Graph) -> dict[tuple[int, int], int]:
     """Number of edges per endpoint-degree pair (i, j), i <= j: the m_ij
-    of ``EdgeTypeProfile`` without its validation."""
-    adjacency = g.adjacency
-    m: dict[tuple[int, int], int] = {}
-    for u, nbrs in enumerate(adjacency):
-        du = len(nbrs)
-        for v in nbrs:
-            if u < v:
-                dv = len(adjacency[v])
-                key = (du, dv) if du <= dv else (dv, du)
-                m[key] = m.get(key, 0) + 1
-    return m
+    of ``EdgeTypeProfile`` without its validation.  The counts are taken
+    once per graph; each call returns a fresh dict the caller may keep
+    or change."""
+    return dict(g._edge_types)
 
 
 def edge_type_profile(g: Graph) -> EdgeTypeProfile:

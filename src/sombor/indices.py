@@ -10,6 +10,11 @@ one sum evaluates them all.  Rational kernels (SO2, M1, M2, F, SDD) are
 exact ``Fraction``s, so ties between trees are exact equalities; the
 irrational ones (SO, R, SCI) are ``math.fsum`` floats.  ``index_by_name``
 evaluates any of ``INDEX_NAMES`` (the kernels, then neighborhood Zagreb).
+
+The m_ij are counted once per ``Graph`` and kept on it, so evaluating
+several indices of one graph walks its edges once; each term F(i, j) is
+evaluated once per kernel function and degree pair.  The public
+``edge_type_counts`` still returns a fresh dict per call.
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
-from .graphs import Graph, EdgeTypeProfile, degrees, edge_type_counts
+from .graphs import Graph, EdgeTypeProfile, degrees
 
 
 @dataclass(frozen=True)
@@ -71,13 +77,23 @@ KERNELS: dict[str, VdbKernel] = {
 INDEX_NAMES = (*KERNELS, "mn")
 
 
+@cache
+def _term(f: Callable[[int, int], float | Fraction], i: int,
+          j: int) -> float | Fraction:
+    """F(i, j) for one kernel function, evaluated once per degree pair
+    (functions hash by identity, so each kernel has its own terms)."""
+    return f(i, j)
+
+
 def _kernel_sum(m: dict[tuple[int, int], int], kernel: VdbKernel) -> IndexValue:
     """Sum of m_ij * F(i, j) over the nonzero edge-type counts ``m``: exact
     for a rational kernel, ``math.fsum`` of the float terms otherwise."""
     if kernel.exact is None:
         return IndexValue(approx=math.fsum(
-            count * kernel.approx(i, j) for (i, j), count in m.items() if count))
-    terms = [(count, kernel.exact(i, j)) for (i, j), count in m.items() if count]
+            count * _term(kernel.approx, i, j)
+            for (i, j), count in m.items() if count))
+    terms = [(count, _term(kernel.exact, i, j))
+             for (i, j), count in m.items() if count]
     # integer numerators over the lcm denominator: one normalisation
     den = math.lcm(*(term.denominator for _, term in terms))
     total = Fraction(sum(count * term.numerator * (den // term.denominator)
@@ -87,7 +103,7 @@ def _kernel_sum(m: dict[tuple[int, int], int], kernel: VdbKernel) -> IndexValue:
 
 def so2(g: Graph) -> IndexValue:
     """Second Sombor index, exact.  Zero for edgeless graphs."""
-    return _kernel_sum(edge_type_counts(g), KERNELS["so2"])
+    return _kernel_sum(g._edge_types, KERNELS["so2"])
 
 
 def so2_from_profile(profile: EdgeTypeProfile) -> Fraction:
@@ -98,7 +114,7 @@ def so2_from_profile(profile: EdgeTypeProfile) -> Fraction:
 
 def vdb_index(g: Graph, kernel: VdbKernel) -> IndexValue:
     """Generic vertex-degree-based index: sum of the kernel over edges."""
-    return _kernel_sum(edge_type_counts(g), kernel)
+    return _kernel_sum(g._edge_types, kernel)
 
 
 def neighborhood_zagreb(g: Graph) -> IndexValue:

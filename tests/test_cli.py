@@ -172,6 +172,22 @@ class TestExtremal:
         envelope = run(["extremal"])
         assert envelope.exit_status == 1
 
+    def test_rejects_nonpositive_order_before_printing(self, capsys):
+        for bad in ("-5", "0"):
+            envelope = run(["extremal", "--n", bad])
+            assert envelope.exit_status == 1
+            assert envelope.warnings == ("n must be positive",)
+            assert envelope.results == ()
+            assert capsys.readouterr().out == ""
+
+    def test_small_and_large_orders_still_print(self, capsys):
+        # no enumeration cap applies to the closed forms
+        assert run(["extremal", "--n", "1"]).exit_status == 0
+        assert lines_of(capsys) == ["n 1"]
+        envelope = run(["extremal", "--n", "1000"])
+        assert envelope.exit_status == 0
+        assert lines_of(capsys)[0] == "n 1000"
+
 
 class TestFit:
     def test_default_dataset_fit(self, capsys):

@@ -163,6 +163,25 @@ class TestEdgeTypeProfile:
             assert edge_type_counts(g) == want
             assert edge_type_profile(g).m == want
 
+    def test_each_count_call_returns_a_fresh_dict(self):
+        g = path(5)
+        first, second = edge_type_counts(g), edge_type_counts(g)
+        assert first == second == {(1, 2): 2, (2, 2): 2}
+        assert first is not second
+        assert edge_type_profile(g).m is not edge_type_profile(g).m
+
+    def test_counted_graph_keeps_equality_hash_and_repr(self):
+        from sombor.indices import INDEX_NAMES, index_by_name
+        rng = random.Random(19)
+        for _ in range(50):
+            g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.0, 0.8))
+            for name in INDEX_NAMES:
+                index_by_name(g, name)
+            h = Graph.from_edges(g.n, g.edges())
+            assert g == h
+            assert hash(g) == hash(h)
+            assert repr(g) == repr(h)
+
     def test_rejects_inconsistent_profile(self):
         with pytest.raises(ValueError):
             EdgeTypeProfile(m={(1, 2): 1}, degree_counts={1: 1, 2: 1}, n=2)

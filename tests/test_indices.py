@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sombor.graphs import Graph, degrees, edge_type_profile
-from sombor.indices import (INDEX_NAMES, KERNELS, IndexValue, index_by_name,
-                            neighborhood_zagreb, so2, so2_from_profile,
-                            so2_upper_bound, vdb_index)
+from sombor.graphs import Graph, degrees, edge_type_counts, edge_type_profile
+from sombor.indices import (INDEX_NAMES, KERNELS, IndexValue, VdbKernel,
+                            index_by_name, neighborhood_zagreb, so2,
+                            so2_from_profile, so2_upper_bound, vdb_index)
 
-from helpers import (EDGE_KERNELS, index_by_definition, random_graph,
-                     random_tree, shuffled_copy, simple_graphs)
+from helpers import (EDGE_KERNELS, index_by_definition, molecular_trees,
+                     random_graph, random_tree, shuffled_copy, simple_graphs)
 
 
 def path(n):
@@ -319,8 +319,56 @@ class TestIndexByName:
             assert index_by_name(g, name) == want
         assert index_by_name(g, "so2") == so2(g)
 
+    def test_changing_returned_counts_leaves_every_index_alone(self):
+        rng = random.Random(37)
+        graphs = [random_tree(rng, rng.randint(2, 15)) for _ in range(20)]
+        graphs += [random_graph(rng, rng.randint(1, 10), 0.5) for _ in range(20)]
+        for g in graphs:
+            want = {name: index_by_name(Graph(g.n, g.adjacency), name)
+                    for name in INDEX_NAMES}
+            # change the copies before the first evaluation and after it
+            for step in range(2):
+                counts = edge_type_counts(g)
+                counts[(1, 2)] = counts.get((1, 2), 0) + 7
+                counts.pop(next(iter(counts)))
+                profile = edge_type_profile(g)
+                profile.m.clear()
+                profile.m[(3, 3)] = 5
+                assert so2(g) == want["so2"]
+                assert {name: index_by_name(g, name)
+                        for name in INDEX_NAMES} == want
+
     def test_unknown_name_lists_the_known_ones(self):
         with pytest.raises(ValueError,
                            match=r"unknown index 'zagreb99'; expected one of "
                                  r"so2, so, m1, m2, f, r, sci, sdd, mn"):
             index_by_name(path(3), "zagreb99")
+
+
+# kernels that share a name with KERNELS["so2"] but not its function: a
+# term memo keyed by kernel name would hand them so2's terms
+_RENAMED_KERNELS = (
+    ("m1", VdbKernel("so2", KERNELS["m1"].approx, KERNELS["m1"].exact)),
+    ("r", VdbKernel("so2", KERNELS["r"].approx)),
+)
+
+
+class TestEvaluationOrder:
+    """Indices evaluated in any order on one graph object agree with a
+    fresh graph per index and with the per-edge definitions."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(molecular_trees(max_n=40), simple_graphs()),
+           st.permutations(INDEX_NAMES))
+    def test_any_order_on_one_graph(self, g, order):
+        values = {name: index_by_name(g, name) for name in order}
+        renamed = {name: vdb_index(g, kernel) for name, kernel in _RENAMED_KERNELS}
+        for name in INDEX_NAMES:
+            assert values[name] == index_by_name(Graph(g.n, g.adjacency), name)
+            want = index_by_definition(g, name)
+            if values[name].exact is not None:
+                assert values[name].exact == want, name
+            else:
+                assert math.isclose(values[name].approx, want, rel_tol=1e-12), name
+        for name, value in renamed.items():
+            assert value == values[name]
