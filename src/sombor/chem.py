@@ -15,6 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -111,6 +112,12 @@ class MoleculeRecord:
     properties: dict[str, float]
 
     def graph(self) -> Graph:
+        """The molecule's tree, parsed from its SMILES on the first call
+        only (a failed parse is not kept: each call raises)."""
+        return self._graph
+
+    @cached_property
+    def _graph(self) -> Graph:
         try:
             return parse_alkane_smiles(self.smiles)
         except SmilesError as exc:
@@ -125,8 +132,8 @@ def load_dataset(path: Union[str, Path]) -> list[MoleculeRecord]:
     """Load a molecule dataset from a comma-separated file whose header
     is ``name,smiles,<property>...``.  Empty cells mean the property is
     absent for that molecule; non-finite values (nan, inf) and repeated
-    column names are errors.  SMILES are parsed later, by
-    ``MoleculeRecord.graph``."""
+    column names are errors.  SMILES are parsed later, once per record,
+    on its first ``MoleculeRecord.graph`` call."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

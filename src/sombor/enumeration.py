@@ -19,19 +19,19 @@ most cap-1 children, the centroid at most cap), so restricting to
 molecular trees (degree <= 4) never touches the larger unrestricted
 space.
 
-so2 is a sum of per-edge terms that depend only on the endpoint
-degrees, so it is evaluated on the shapes themselves.  Each branch
-carries its shape, its max degree and the so2 of its own edges, scaled
-by L = lcm(i^2 + j^2) over the degree pairs i + j <= n possible at
-order n, which makes every edge term an integer.  A tree's value is
-then an integer sum over the centroid's branches (or the two halves and
-the bridging edge), divided by L once.  ``so2_extremes`` is the one so2
-scan; ``argmax_so2`` and ``argmin_so2`` are views of it.  Only the
-trees a caller asks for -- the streamed ones, or the attainers of an
-extreme -- are built as ``Graph``s, their sorted neighbour lists
-labelled straight from the shape.  The same generator drives the
-``Graph`` streams, the counts and the so2 scan, so all of them see the
-same trees in the same order with the same vertex labels.
+so2 is a sum of per-edge terms that depend only on the endpoint degrees,
+so it is evaluated on the shapes themselves.  Each branch carries its
+shape, its max degree and the so2 of its own edges, scaled by L, the lcm
+of the so2 terms' denominators over the degree pairs i + j <= n possible
+at order n, so every edge term is an integer.  A tree's value is then an
+integer sum over the centroid's branches (or the two halves and the
+bridging edge), divided by L once.  ``so2_extremes`` is the one so2
+scan; ``argmax_so2`` and ``argmin_so2`` are views of it.  Only the trees
+a caller asks for -- the streamed ones, or the attainers of an extreme
+-- are built as ``Graph``s, their sorted neighbour lists labelled
+straight from the shape.  The same generator drives the ``Graph``
+streams, the counts and the so2 scan, so all of them see the same trees
+in the same order with the same vertex labels.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .graphs import MOLECULAR_MAX_DEGREE, Graph, _bfs
 # so2 stays importable from this module
-from .indices import _so2_term, so2  # noqa: F401
+from .indices import KERNELS, so2  # noqa: F401
 
 DEFAULT_MAX_N = 18
 
@@ -90,14 +90,12 @@ def _edge_terms(order: int, max_degree: Optional[int]
     so2 term of an edge between degrees i and j.  Pairs with i + j >
     order cannot be adjacent in such a tree and are None."""
     top = order - 1 if max_degree is None else min(max_degree, order - 1)
-    pairs = [(i, j) for i in range(1, top + 1)
-             for j in range(1, min(top, order - i) + 1)]
-    scale = math.lcm(*(i * i + j * j for i, j in pairs))
+    exact = {(i, j): KERNELS["so2"](i, j) for i in range(1, top + 1)
+             for j in range(1, min(top, order - i) + 1)}
+    scale = math.lcm(*(term.denominator for term in exact.values()))
     terms = [[None] * (top + 1) for _ in range(top + 1)]
-    for i, j in pairs:
-        term = _so2_term(i, j) * scale
-        assert term.denominator == 1
-        terms[i][j] = term.numerator
+    for (i, j), term in exact.items():
+        terms[i][j] = term.numerator * (scale // term.denominator)
     return scale, tuple(map(tuple, terms))
 
 

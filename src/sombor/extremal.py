@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .graphs import Graph, EdgeTypeProfile, is_tree
 from .indices import KERNELS, _kernel_sum
@@ -245,8 +245,7 @@ def _so2_eliminated(n: int, m: EdgeCounts) -> Fraction:
     return _so2({**free, (1, 4): m14, (2, 4): m24})
 
 
-def so2_via_degree_system(profile: EdgeTypeProfile,
-                          n: Optional[int] = None) -> Fraction:
+def so2_via_degree_system(profile: EdgeTypeProfile) -> Fraction:
     """so2 of a molecular tree (n >= 3) with m_14 and m_24 eliminated.
 
     This is the residue-free maximum (126n - 30)/170 minus a penalty per
@@ -254,7 +253,7 @@ def so2_via_degree_system(profile: EdgeTypeProfile,
     per 2-3, 47/85 per 3-3, 96/425 per 3-4 and 39/85 per 4-4.  Agrees
     exactly with ``so2_from_profile`` on every molecular-tree profile.
     """
-    return _so2_eliminated(profile.n if n is None else n, profile.m)
+    return _so2_eliminated(profile.n, profile.m)
 
 
 def degree_three_penalty(m13: int, m23: int, m33: int, m34: int) -> Fraction:

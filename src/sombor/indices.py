@@ -6,21 +6,21 @@ The second Sombor index is the headline quantity:
 
 Every index in ``KERNELS`` is a sum over i <= j of m_ij * F(i, j), where
 m_ij counts the edges joining degrees i and j (``edge_type_counts``);
-one sum evaluates them all.  Rational kernels (SO2, M1, M2, F, SDD) are
-exact ``Fraction``s, so ties between trees are exact equalities; the
-irrational ones (SO, R, SCI) are ``math.fsum`` floats.  ``index_by_name``
-evaluates any of ``INDEX_NAMES`` (the kernels, then neighborhood Zagreb).
+one sum evaluates them all.  Exact kernels (SO2, M1, M2, F, SDD) return
+``Fraction``s, so ties between trees are exact equalities; the others
+(SO, R, SCI) are ``math.fsum`` floats.  ``index_by_name`` evaluates any
+of ``INDEX_NAMES`` (the kernels, then neighborhood Zagreb).
 
 The m_ij are counted once per ``Graph`` and kept on it, so evaluating
-several indices of one graph walks its edges once; each term F(i, j) is
-evaluated once per kernel function and degree pair.  The public
+several indices of one graph walks its edges once; each kernel keeps its
+own memo of F(i, j), one entry per degree pair.  The public
 ``edge_type_counts`` still returns a fresh dict per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
@@ -31,7 +31,7 @@ from .graphs import Graph, EdgeTypeProfile, degrees
 @dataclass(frozen=True)
 class IndexValue:
     """An index value: always a float, plus the exact rational when the
-    defining kernel is rational-valued."""
+    defining kernel is exact."""
 
     approx: float
     exact: Optional[Fraction] = None
@@ -43,61 +43,56 @@ class IndexValue:
 
 @dataclass(frozen=True)
 class VdbKernel:
-    """A symmetric edge kernel F(x, y) on positive integer degrees.
-
-    ``exact`` is present only for rational-valued kernels; ``approx``
-    is always usable.
-    """
+    """A symmetric edge kernel F(x, y) on positive integer degrees:
+    ``term`` returns a ``Fraction`` if ``exact``, else a float.  Calling
+    the kernel evaluates ``term`` once per degree pair, into a memo that
+    is freed with the kernel."""
 
     name: str
-    approx: Callable[[int, int], float]
-    exact: Optional[Callable[[int, int], Fraction]] = None
+    term: Callable[[int, int], float | Fraction]
+    exact: bool = False
+    _memo: Callable[[int, int], float | Fraction] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_memo", cache(self.term))
+
+    def __call__(self, x: int, y: int) -> float | Fraction:
+        return self._memo(x, y)
 
 
 def _so2_term(x: int, y: int) -> Fraction:
+    """The so2 term; the enumerator and the upper bound read it too."""
     return Fraction(abs(x * x - y * y), x * x + y * y)
 
 
-KERNELS: dict[str, VdbKernel] = {
-    "so2": VdbKernel("so2", lambda x, y: float(_so2_term(x, y)), _so2_term),
-    "so": VdbKernel("so", lambda x, y: math.sqrt(x * x + y * y)),
-    "m1": VdbKernel("m1", lambda x, y: float(x + y),
-                    lambda x, y: Fraction(x + y)),
-    "m2": VdbKernel("m2", lambda x, y: float(x * y),
-                    lambda x, y: Fraction(x * y)),
-    "f": VdbKernel("f", lambda x, y: float(x * x + y * y),
-                   lambda x, y: Fraction(x * x + y * y)),
-    "r": VdbKernel("r", lambda x, y: 1.0 / math.sqrt(x * y)),
-    "sci": VdbKernel("sci", lambda x, y: 1.0 / math.sqrt(x + y)),
-    "sdd": VdbKernel("sdd", lambda x, y: x / y + y / x,
-                     lambda x, y: Fraction(x * x + y * y, x * y)),
-}
+KERNELS: dict[str, VdbKernel] = {kernel.name: kernel for kernel in (
+    VdbKernel("so2", _so2_term, exact=True),
+    VdbKernel("so", lambda x, y: math.sqrt(x * x + y * y)),
+    VdbKernel("m1", lambda x, y: Fraction(x + y), exact=True),
+    VdbKernel("m2", lambda x, y: Fraction(x * y), exact=True),
+    VdbKernel("f", lambda x, y: Fraction(x * x + y * y), exact=True),
+    VdbKernel("r", lambda x, y: 1.0 / math.sqrt(x * y)),
+    VdbKernel("sci", lambda x, y: 1.0 / math.sqrt(x + y)),
+    VdbKernel("sdd", lambda x, y: Fraction(x * x + y * y, x * y), exact=True),
+)}
 
 
 INDEX_NAMES = (*KERNELS, "mn")
 
 
-@cache
-def _term(f: Callable[[int, int], float | Fraction], i: int,
-          j: int) -> float | Fraction:
-    """F(i, j) for one kernel function, evaluated once per degree pair
-    (functions hash by identity, so each kernel has its own terms)."""
-    return f(i, j)
-
-
 def _kernel_sum(m: dict[tuple[int, int], int], kernel: VdbKernel) -> IndexValue:
     """Sum of m_ij * F(i, j) over the nonzero edge-type counts ``m``: exact
-    for a rational kernel, ``math.fsum`` of the float terms otherwise."""
-    if kernel.exact is None:
+    for an exact kernel, ``math.fsum`` of the float terms otherwise."""
+    term = kernel._memo  # the memo itself: no Python-level call per term
+    if not kernel.exact:
         return IndexValue(approx=math.fsum(
-            count * _term(kernel.approx, i, j)
-            for (i, j), count in m.items() if count))
-    terms = [(count, _term(kernel.exact, i, j))
-             for (i, j), count in m.items() if count]
+            count * term(i, j) for (i, j), count in m.items() if count))
+    terms = [(count, term(i, j)) for (i, j), count in m.items() if count]
     # integer numerators over the lcm denominator: one normalisation
-    den = math.lcm(*(term.denominator for _, term in terms))
-    total = Fraction(sum(count * term.numerator * (den // term.denominator)
-                         for count, term in terms), den)
+    den = math.lcm(*(t.denominator for _, t in terms))
+    total = Fraction(sum(count * t.numerator * (den // t.denominator)
+                         for count, t in terms), den)
     return IndexValue(approx=float(total), exact=total)
 
 
@@ -151,6 +146,4 @@ def so2_upper_bound(m: int, min_degree: int, max_degree: int) -> Fraction:
         raise ValueError("maximum degree below minimum degree")
     if m < 0:
         raise ValueError("edge count must be nonnegative")
-    d2 = min_degree * min_degree
-    g2 = max_degree * max_degree
-    return Fraction(m * (g2 - d2), g2 + d2)
+    return m * KERNELS["so2"](min_degree, max_degree)

@@ -199,6 +199,14 @@ class TestDatasetLoading:
         assert info.value.molecule == "odd"
         assert info.value.position == 4
 
+    def test_a_failed_parse_raises_on_every_call(self, tmp_path):
+        f = tmp_path / "badsmiles.csv"
+        f.write_text("name,smiles,bp\nodd,CC)C,2.0\n")
+        record = load_dataset(f)[0]
+        for _ in range(2):
+            with pytest.raises(SmilesError, match=r"molecule 'odd', position 2"):
+                record.graph()
+
 
 # printed reference values for the 18 octane isomers
 OCTANE_SO2 = {

@@ -267,10 +267,6 @@ class TestReducedForm:
                 assert so2_from_profile(p) == Fraction(126 * n - 30, 170) - sum(
                     penalty * p.count(*key) for key, penalty in PENALTIES.items())
 
-    def test_explicit_n_argument(self):
-        p = edge_type_profile(build_path(8))
-        assert so2_via_degree_system(p, 8) == Fraction(6, 5)
-
     @settings(deadline=None)
     @given(molecular_trees(min_n=3, max_n=60))
     def test_random_trees_beyond_exhaustive_reach(self, g):

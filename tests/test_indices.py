@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -100,12 +102,22 @@ class TestSo2FromProfile:
 
 class TestVdbKernels:
     def test_kernel_symmetry(self):
+        # exact equality for the float kernels too, and a Fraction exactly
+        # from the kernels that say they are exact
         for kernel in KERNELS.values():
             for x in range(1, 8):
                 for y in range(1, 8):
-                    assert kernel.approx(x, y) == pytest.approx(kernel.approx(y, x))
-                    if kernel.exact is not None:
-                        assert kernel.exact(x, y) == kernel.exact(y, x)
+                    assert kernel(x, y) == kernel(y, x), (kernel.name, x, y)
+                    assert isinstance(kernel(x, y), Fraction) is kernel.exact
+
+    def test_memo_is_freed_with_the_kernel(self):
+        term = lambda x, y: float(x + y)  # noqa: E731
+        alive = weakref.ref(term)
+        kernel = VdbKernel("throwaway", term)
+        assert vdb_index(path(4), kernel).approx == 10.0
+        del kernel, term
+        gc.collect()
+        assert alive() is None
 
     def test_first_zagreb_on_path(self):
         # per-edge degree sums: (1+2) + (2+2) + (2+1)
@@ -280,7 +292,7 @@ class TestAgainstDefinition:
             for name, kernel in KERNELS.items():
                 want = index_by_definition(g, name)
                 got = vdb_index(g, kernel)
-                if kernel.exact is not None:
+                if kernel.exact:
                     assert got.exact == want, (name, g)
                     assert got.approx == float(want)
                 else:
@@ -348,8 +360,8 @@ class TestIndexByName:
 # kernels that share a name with KERNELS["so2"] but not its function: a
 # term memo keyed by kernel name would hand them so2's terms
 _RENAMED_KERNELS = (
-    ("m1", VdbKernel("so2", KERNELS["m1"].approx, KERNELS["m1"].exact)),
-    ("r", VdbKernel("so2", KERNELS["r"].approx)),
+    ("m1", VdbKernel("so2", KERNELS["m1"].term, exact=True)),
+    ("r", VdbKernel("so2", KERNELS["r"].term)),
 )
 
 

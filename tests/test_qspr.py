@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from sombor import qspr
-from sombor.chem import load_dataset, octane_dataset_path
+from sombor import chem, qspr
+from sombor.chem import load_dataset, octane_dataset_path, so2_table
 from sombor.qspr import (correlation_grid, fit_property, index_value,
                          linear_fit)
 
@@ -144,6 +144,23 @@ class TestCorrelationGrid:
     def test_unknown_index_rejected(self, octanes):
         with pytest.raises(ValueError, match="unknown index"):
             correlation_grid(octanes, ["zagreb99"], ["AcenFac"])
+
+
+class TestParsedOnce:
+    def test_each_record_parses_its_smiles_once(self, monkeypatch):
+        real, calls = chem.parse_alkane_smiles, []
+
+        def counting(smiles):
+            calls.append(smiles)
+            return real(smiles)
+
+        monkeypatch.setattr(chem, "parse_alkane_smiles", counting)
+        octanes = load_dataset(octane_dataset_path())  # fresh, unparsed
+        for _ in range(2):
+            correlation_grid(octanes, ["so2", "m1"], ["AcenFac"])
+        fit_property(octanes, "so2", "AcenFac")
+        so2_table(octanes)
+        assert len(calls) == len(octanes) == 18
 
 
 class TestIndexValue:
