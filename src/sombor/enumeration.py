@@ -28,10 +28,14 @@ integer sum over the centroid's branches (or the two halves and the
 bridging edge), divided by L once.  ``so2_extremes`` is the one so2
 scan; ``argmax_so2`` and ``argmin_so2`` are views of it.  Only the trees
 a caller asks for -- the streamed ones, or the attainers of an extreme
--- are built as ``Graph``s, their sorted neighbour lists labelled
-straight from the shape.  The same generator drives the ``Graph``
-streams, the counts and the so2 scan, so all of them see the same trees
-in the same order with the same vertex labels.
+-- are built as ``Graph``s, labelled depth first from vertex 0.  A
+branch hung from vertex 0 at a given first label always gets the same
+sorted neighbour rows, so those rows are memoised per (shape, first
+label) and a tree's adjacency is vertex 0's row followed by its
+branches' rows; every ``Graph`` is still validated as it is built.  The
+same generator drives the ``Graph`` streams, the counts and the so2
+scan, so all of them see the same trees in the same order with the same
+vertex labels.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 from .graphs import MOLECULAR_MAX_DEGREE, Graph, _bfs
@@ -180,28 +184,41 @@ def _scored_trees(n: int, max_degree: Optional[int]
         yield value, top, tree
 
 
-def _attach(shape: Shape, parent: int, nbrs: list[list[int]]) -> None:
-    """Label the root of `shape` with the next vertex id, join it to
-    `parent`, then label its subtrees depth first."""
-    root = len(nbrs)
-    nbrs.append([parent])
-    nbrs[parent].append(root)
+@cache
+def _rows(shape: Shape, first: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted neighbour rows of the branch `shape` with its root
+    labelled `first` and hung from vertex 0, its vertices labelled depth
+    first: row i belongs to vertex first + i.  The rows depend on the
+    shape and the offset only, so every tree that hangs this branch at
+    this offset shares them."""
+    children, rows = [], []
+    label = first + 1
     for child in shape:
-        _attach(child, root, nbrs)
+        below = _rows(child, label)
+        children.append(label)
+        rows.append((first, *below[0][1:]))  # re-hang from `first`
+        rows.extend(below[1:])
+        label += len(below)
+    return ((0, *children), *rows)
 
 
 def _graph(n: int, tree: _Tree) -> Graph:
     """The tree rooted at vertex 0, the centroid (or the first half's
-    root), with vertices numbered in depth-first order.  Every neighbour
-    list comes out sorted (parent first, then the children in label
+    root), with vertices numbered in depth-first order.  Every branch of
+    vertex 0 -- and, across a centroid edge, the second half, hung after
+    the first half's children -- contributes its memoised ``_rows``, so
+    the adjacency is vertex 0's row plus those rows in label order.
+    Every row comes out sorted (parent first, then the children in label
     order), so it is handed to ``Graph`` as built."""
     first, second = tree
     shapes = ([branch.shape for branch in first] if second is None
               else [*first.shape, second.shape])
-    nbrs: list[list[int]] = [[]]
+    roots, adjacency = [], [()]
     for shape in shapes:
-        _attach(shape, 0, nbrs)
-    return Graph(n, tuple(map(tuple, nbrs)))
+        roots.append(len(adjacency))
+        adjacency.extend(_rows(shape, len(adjacency)))
+    adjacency[0] = tuple(roots)
+    return Graph(n, tuple(adjacency))
 
 
 def canonical_shape(g: Graph) -> Shape:

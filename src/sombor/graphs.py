@@ -16,6 +16,10 @@ from typing import Iterable, Iterator
 # the maximum degree of a molecular tree: the valence of carbon
 MOLECULAR_MAX_DEGREE = 4
 
+# neighbor rows up to this long are searched by scanning while a
+# ``Graph`` is validated
+_SCAN_LIMIT = 64
+
 # one shared key object per edge type (i, j), so a graph's edge-type
 # counts hold no tuples of their own
 _EDGE_TYPE_KEYS: dict[tuple[int, int], tuple[int, int]] = {}
@@ -28,6 +32,10 @@ class Graph:
     ``adjacency[v]`` is a sorted tuple of the neighbors of ``v``.  No
     self-loops, no parallel edges, and the adjacency relation is
     symmetric; violations raise ``ValueError`` at construction time.
+    One pass over the neighbor lists makes every check: each entry is
+    in range, not ``v``, above the one before it, and lists ``v`` back.
+    Only a failing entry is examined again, to name its defect; with
+    several defects, the first entry in row order that fails is named.
     Equality, hashing and repr use ``n`` and ``adjacency`` only.
     """
 
@@ -39,24 +47,19 @@ class Graph:
             raise ValueError("vertex count must be positive")
         if len(self.adjacency) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        neighbor_sets = []
-        for v, nbrs in enumerate(self.adjacency):
+        n, adjacency = self.n, self.adjacency
+        # scanning a short tuple beats hashing; long rows get a set, so
+        # the symmetry test stays linear in the edges
+        listed = adjacency if n <= _SCAN_LIMIT else [
+            nbrs if len(nbrs) <= _SCAN_LIMIT else set(nbrs)
+            for nbrs in adjacency]
+        for v, nbrs in enumerate(adjacency):
             previous = -1
             for u in nbrs:
-                if not 0 <= u < self.n:
-                    raise ValueError(f"neighbor {u} of vertex {v} out of range")
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {v}")
-                if u == previous:
-                    raise ValueError(f"duplicate neighbor in adjacency of vertex {v}")
-                if u < previous:
-                    raise ValueError(f"adjacency of vertex {v} is not sorted")
+                # in range, strictly increasing, no loop, listed back
+                if not (previous < u < n and u != v and v in listed[u]):
+                    raise ValueError(_adjacency_problem(n, v, u, previous))
                 previous = u
-            neighbor_sets.append(set(nbrs))
-        for v, s in enumerate(neighbor_sets):
-            for u in s:
-                if v not in neighbor_sets[u]:
-                    raise ValueError(f"asymmetric edge {v}-{u}")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -106,6 +109,20 @@ def _edge_problem(n: int, u: int, v: int) -> str:
     if not (0 <= u < n and 0 <= v < n):
         return f"edge {u}-{v} out of range for n={n}"
     return f"self-loop at vertex {u}" if u == v else ""
+
+
+def _adjacency_problem(n: int, v: int, u: int, previous: int) -> str:
+    """Why `u`, listed after `previous` among the neighbors of `v`,
+    breaks a valid adjacency."""
+    if not 0 <= u < n:
+        return f"neighbor {u} of vertex {v} out of range"
+    if u == v:
+        return f"self-loop at vertex {v}"
+    if u == previous:
+        return f"duplicate neighbor in adjacency of vertex {v}"
+    if u < previous:
+        return f"adjacency of vertex {v} is not sorted"
+    return f"asymmetric edge {v}-{u}"
 
 
 def degrees(g: Graph) -> list[int]:

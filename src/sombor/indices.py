@@ -146,4 +146,6 @@ def so2_upper_bound(m: int, min_degree: int, max_degree: int) -> Fraction:
         raise ValueError("maximum degree below minimum degree")
     if m < 0:
         raise ValueError("edge count must be nonnegative")
-    return m * KERNELS["so2"](min_degree, max_degree)
+    # the term itself, not the kernel's memo: arbitrary degrees would
+    # grow that memo without bound
+    return m * _so2_term(min_degree, max_degree)

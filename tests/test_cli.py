@@ -1,8 +1,15 @@
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sombor import cli
+from sombor.chem import parse_alkane_smiles
 from sombor.cli import OutputEnvelope, run
+
+from helpers import simple_graphs
 
 # stdout of `sombor extremal --verify-up-to 12` from the graph-by-graph
 # verifier that preceded the shape-level scan
@@ -242,6 +249,32 @@ class TestParse:
         run(["parse", "--smiles", "C"])
         out = lines_of(capsys)
         assert out[0] == "n 1" and out[2] == "edges (no edges)"
+
+
+def reference_edge_string(g):
+    return " ".join(f"{u}-{v}" for u, v in g.edges())
+
+
+class TestEdgeString:
+    @settings(deadline=None, max_examples=50)
+    @given(st.lists(simple_graphs(max_n=30), min_size=1, max_size=6))
+    def test_equals_the_edge_list_as_labels_grow(self, graphs):
+        # from no cached labels, in increasing n: the labels grow while
+        # the graphs are written
+        with mock.patch.object(cli, "_labels", ([], [])):
+            for g in sorted(graphs, key=lambda g: g.n):
+                assert cli._edge_string(g) == reference_edge_string(g)
+            for g in graphs:
+                assert cli._edge_string(g) == reference_edge_string(g)
+
+    def test_parse_writes_a_5000_carbon_chain(self, capsys):
+        smiles = "C" * 5000
+        envelope = run(["parse", "--smiles", smiles])
+        assert envelope.exit_status == 0
+        edges = lines_of(capsys)[2]
+        assert edges == "edges " + reference_edge_string(
+            parse_alkane_smiles(smiles))
+        assert edges.endswith(" 4998-4999")
 
 
 class TestDispatch:

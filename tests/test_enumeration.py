@@ -13,7 +13,7 @@ from sombor.graphs import Graph, degrees, is_molecular_tree, is_tree
 from sombor.indices import so2
 
 from helpers import (FREE_TREE_COUNTS, MOLECULAR_TREE_COUNTS, ahu_canonical,
-                     count_trees_dp, shuffled_copy)
+                     count_trees_dp, reference_graph, shuffled_copy)
 
 
 class TestCounts:
@@ -116,6 +116,30 @@ class TestCanonicalShape:
                   Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])):
             with pytest.raises(ValueError, match="not a tree"):
                 canonical_shape(g)
+
+
+class TestLabelling:
+    # every free tree with n <= 14 and every molecular tree with n <= 16
+    ORDERS = [(n, None) for n in range(1, 15)] + [(n, 4) for n in range(1, 17)]
+
+    def _check(self, orders):
+        kinds = Counter()
+        for n, max_degree in orders:
+            for tree in _trees(n, max_degree):
+                assert _graph(n, tree) == reference_graph(n, tree)
+                kinds["vertex" if tree[1] is None else "edge"] += 1
+        assert kinds["vertex"] > 0 and kinds["edge"] > 0
+        return sum(kinds.values())
+
+    def test_memoised_rows_equal_vertex_by_vertex_labelling(self):
+        total = self._check(self.ORDERS)
+        assert total == sum(FREE_TREE_COUNTS[:14]) + sum(MOLECULAR_TREE_COUNTS)
+
+    def test_shared_rows_carry_no_state_between_trees(self):
+        # largest orders first, so rows first built for other trees and
+        # offsets are reused by every smaller tree
+        self._check(self.ORDERS)
+        self._check(reversed(self.ORDERS))
 
 
 class TestCap:

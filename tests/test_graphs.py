@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sombor.graphs import (Graph, EdgeTypeProfile, degrees, edge_type_counts,
                            edge_type_profile, format_edge_list,
                            is_molecular_tree, is_tree, parse_edge_list)
 
-from helpers import random_graph, shuffled_copy
+from helpers import (random_graph, reference_adjacency_problem, shuffled_copy,
+                     simple_graphs)
 
 
 def path(n):
@@ -67,6 +70,81 @@ class TestGraphConstruction:
     def test_edges_iteration(self):
         assert list(path(4).edges()) == [(0, 1), (1, 2), (2, 3)]
         assert path(4).edge_count == 3
+
+
+# adjacencies with exactly one defect, and the message naming it
+SINGLE_DEFECTS = [
+    ("negative id", 2, ((-1, 1), (0,)), "neighbor -1 of vertex 0 out of range"),
+    ("id >= n", 2, ((1, 2), (0,)), "neighbor 2 of vertex 0 out of range"),
+    ("self-loop", 2, ((0, 1), (0,)), "self-loop at vertex 0"),
+    ("adjacent duplicate", 3, ((1, 2, 2), (0,), (0,)),
+     "duplicate neighbor in adjacency of vertex 0"),
+    ("unsorted", 3, ((2, 1), (0,), (0,)), "adjacency of vertex 0 is not sorted"),
+    ("asymmetric, listed upward", 3, ((1, 2), (0,), ()), "asymmetric edge 0-2"),
+    ("asymmetric, listed downward", 3, ((1,), (0,), (0,)),
+     "asymmetric edge 2-0"),
+]
+
+
+def _perturbed(draw, g):
+    """g's adjacency with at most one random change."""
+    rows = [list(nbrs) for nbrs in g.adjacency]
+    v = draw(st.integers(0, g.n - 1))
+    row = rows[v]
+    kind = draw(st.sampled_from(
+        ["none", "insert", "remove", "swap", "duplicate", "replace"]))
+    if kind == "insert":
+        row.insert(draw(st.integers(0, len(row))), draw(st.integers(-2, g.n + 1)))
+    elif row and kind != "none":
+        i = draw(st.integers(0, len(row) - 1))
+        if kind == "remove":
+            del row[i]
+        elif kind == "swap" and i + 1 < len(row):
+            row[i], row[i + 1] = row[i + 1], row[i]
+        elif kind == "duplicate":
+            row.insert(i, row[i])
+        elif kind == "replace":
+            row[i] = draw(st.integers(-2, g.n + 1))
+    return tuple(map(tuple, rows))
+
+
+class TestValidation:
+    @pytest.mark.parametrize("n, adjacency, message",
+                             [case[1:] for case in SINGLE_DEFECTS],
+                             ids=[case[0] for case in SINGLE_DEFECTS])
+    def test_single_defect_names_it(self, n, adjacency, message):
+        assert reference_adjacency_problem(n, adjacency) == message
+        with pytest.raises(ValueError) as raised:
+            Graph(n, adjacency)
+        assert str(raised.value) == message
+
+    def test_names_the_first_failing_entry_in_row_order(self):
+        # 0-1 is listed one way only, and vertex 2 lists an id out of
+        # range: the entries are checked row by row, so 0-1 is named
+        with pytest.raises(ValueError, match="^asymmetric edge 0-1$"):
+            Graph(3, ((1,), (), (5,)))
+
+    def test_long_rows_are_checked_too(self):
+        n = 200
+        star = Graph.from_edges(n, [(0, v) for v in range(1, n)])
+        rows = list(star.adjacency)
+        rows[0] = rows[0][:-1]
+        with pytest.raises(ValueError, match=f"^asymmetric edge {n - 1}-0$"):
+            Graph(n, tuple(rows))
+        rows[n - 1] = ()
+        assert Graph(n, tuple(rows)) == Graph.from_edges(
+            n, [(0, v) for v in range(1, n - 1)])
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data(), simple_graphs(max_n=8))
+    def test_accepts_exactly_what_the_reference_accepts(self, data, g):
+        adjacency = _perturbed(data.draw, g)
+        problem = reference_adjacency_problem(g.n, adjacency)
+        if problem is None:
+            assert Graph(g.n, adjacency).adjacency == adjacency
+        else:
+            with pytest.raises(ValueError):
+                Graph(g.n, adjacency)
 
 
 class TestDegrees:

@@ -221,6 +221,14 @@ class TestUpperBound:
         with pytest.raises(ValueError):
             so2_upper_bound(3, 3, 2)
 
+    def test_arbitrary_degrees_leave_the_kernel_memo_alone(self):
+        memo = KERNELS["so2"]._memo
+        before = memo.cache_info().currsize
+        for big in range(10_000, 11_000):
+            assert so2_upper_bound(2, 1, big) == Fraction(
+                2 * (big * big - 1), big * big + 1)
+        assert memo.cache_info().currsize == before
+
     def test_bound_holds_on_random_graphs(self):
         rng = random.Random(41)
         for _ in range(2000):
