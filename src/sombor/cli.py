@@ -53,21 +53,9 @@ def _kv(key: str, value: str, fmt: str) -> str:
     return f"{key}{sep}{value}"
 
 
-# the vertex labels "v" and edge heads "v-" for v below the largest n
-# written so far; replaced, never changed, when a larger n comes
-_labels: tuple[list[str], list[str]] = ([], [])
-
-
 def _edge_string(g: Graph) -> str:
     """The edges of `g` as "u-v" with u < v, in sorted order."""
-    global _labels
-    labels, heads = _labels
-    if len(labels) < g.n:
-        labels = [str(v) for v in range(g.n)]
-        heads = [f"{label}-" for label in labels]
-        _labels = (labels, heads)
-    return " ".join([heads[u] + labels[v]
-                     for u, nbrs in enumerate(g.adjacency)
+    return " ".join([f"{u}-{v}" for u, nbrs in enumerate(g.adjacency)
                      for v in nbrs if u < v])
 
 

@@ -16,10 +16,6 @@ from typing import Iterable, Iterator
 # the maximum degree of a molecular tree: the valence of carbon
 MOLECULAR_MAX_DEGREE = 4
 
-# neighbor rows up to this long are searched by scanning while a
-# ``Graph`` is validated
-_SCAN_LIMIT = 64
-
 # one shared key object per edge type (i, j), so a graph's edge-type
 # counts hold no tuples of their own
 _EDGE_TYPE_KEYS: dict[tuple[int, int], tuple[int, int]] = {}
@@ -32,10 +28,9 @@ class Graph:
     ``adjacency[v]`` is a sorted tuple of the neighbors of ``v``.  No
     self-loops, no parallel edges, and the adjacency relation is
     symmetric; violations raise ``ValueError`` at construction time.
-    One pass over the neighbor lists makes every check: each entry is
-    in range, not ``v``, above the one before it, and lists ``v`` back.
-    Only a failing entry is examined again, to name its defect; with
-    several defects, the first entry in row order that fails is named.
+    One pass over the neighbor lists makes every check, visiting each
+    edge once, from its lower end; only an adjacency that fails is
+    examined again, to name its first defect.
     Equality, hashing and repr use ``n`` and ``adjacency`` only.
     """
 
@@ -47,18 +42,18 @@ class Graph:
             raise ValueError("vertex count must be positive")
         if len(self.adjacency) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        n, adjacency = self.n, self.adjacency
-        # scanning a short tuple beats hashing; long rows get a set, so
-        # the symmetry test stays linear in the edges
-        listed = adjacency if n <= _SCAN_LIMIT else [
-            nbrs if len(nbrs) <= _SCAN_LIMIT else set(nbrs)
-            for nbrs in adjacency]
-        for v, nbrs in enumerate(adjacency):
-            previous = -1
-            for u in nbrs:
-                # in range, strictly increasing, no loop, listed back
-                if not (previous < u < n and u != v and v in listed[u]):
-                    raise ValueError(_adjacency_problem(n, v, u, previous))
+        n = self.n
+        # each row as an iterator over its entries not yet matched: the
+        # rows are sorted, so the neighbors below v come first in v's row,
+        # and the rows before v match them in order
+        unmatched = list(map(iter, self.adjacency))
+        for v, above in enumerate(unmatched):
+            previous = v
+            for u in above:
+                # above v and the entry before, in range, and the next
+                # unmatched neighbor of u is v
+                if not (previous < u < n and next(unmatched[u], None) == v):
+                    raise ValueError(_adjacency_problem(n, self.adjacency))
                 previous = u
 
     @classmethod
@@ -111,18 +106,28 @@ def _edge_problem(n: int, u: int, v: int) -> str:
     return f"self-loop at vertex {u}" if u == v else ""
 
 
-def _adjacency_problem(n: int, v: int, u: int, previous: int) -> str:
-    """Why `u`, listed after `previous` among the neighbors of `v`,
-    breaks a valid adjacency."""
-    if not 0 <= u < n:
-        return f"neighbor {u} of vertex {v} out of range"
-    if u == v:
-        return f"self-loop at vertex {v}"
-    if u == previous:
-        return f"duplicate neighbor in adjacency of vertex {v}"
-    if u < previous:
-        return f"adjacency of vertex {v} is not sorted"
-    return f"asymmetric edge {v}-{u}"
+def _adjacency_problem(n: int, adjacency) -> str:
+    """The first defect of the n neighbor rows `adjacency`, or "": each
+    row is checked entry by entry, then symmetry over per-vertex sets."""
+    neighbor_sets = []
+    for v, nbrs in enumerate(adjacency):
+        previous = -1
+        for u in nbrs:
+            if not 0 <= u < n:
+                return f"neighbor {u} of vertex {v} out of range"
+            if u == v:
+                return f"self-loop at vertex {v}"
+            if u == previous:
+                return f"duplicate neighbor in adjacency of vertex {v}"
+            if u < previous:
+                return f"adjacency of vertex {v} is not sorted"
+            previous = u
+        neighbor_sets.append(set(nbrs))
+    for v, nbrs in enumerate(neighbor_sets):
+        for u in nbrs:
+            if v not in neighbor_sets[u]:
+                return f"asymmetric edge {v}-{u}"
+    return ""
 
 
 def degrees(g: Graph) -> list[int]:

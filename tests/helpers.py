@@ -3,12 +3,12 @@
 The canonical form here is center-rooted AHU (leaf stripping), on
 purpose different from the centroid decomposition the enumerator uses;
 the counting helper is a multiset-composition DP rather than a
-generator; the reference labeller and validator are plain
-vertex-by-vertex loops, where the library memoises branch rows and
-validates in one pass; the linear-system helper is plain Gaussian elimination; the
-index helper sums each kernel edge by edge from its textbook formula,
-where the library sums over edge-type counts.  Agreement between these
-and the library is therefore meaningful.
+generator; the reference labeller is a plain vertex-by-vertex loop,
+where the library memoises branch rows; the linear-system helper is
+plain Gaussian elimination; the index helper sums each kernel edge by
+edge from its textbook formula, where the library sums over edge-type
+counts.  Agreement between these and the library is therefore
+meaningful.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def simple_graphs(draw, min_n=1, max_n=10):
     return Graph.from_edges(n, edges)
 
 
-# --- reference labelling and validation (the straightforward loops) ---
+# --- reference labelling (the straightforward loop) ---
 
 def _attach(shape, parent, nbrs):
     """Label the root of `shape` with the next vertex id, join it to
@@ -166,34 +166,6 @@ def reference_graph(n: int, tree) -> Graph:
     for shape in shapes:
         _attach(shape, 0, nbrs)
     return Graph(n, tuple(map(tuple, nbrs)))
-
-
-def reference_adjacency_problem(n: int, adjacency) -> str | None:
-    """Why (n, adjacency) is not a valid ``Graph``, or None: each row is
-    checked entry by entry, then symmetry over per-vertex sets."""
-    if n < 1:
-        return "vertex count must be positive"
-    if len(adjacency) != n:
-        return "adjacency length does not match vertex count"
-    neighbor_sets = []
-    for v, nbrs in enumerate(adjacency):
-        previous = -1
-        for u in nbrs:
-            if not 0 <= u < n:
-                return f"neighbor {u} of vertex {v} out of range"
-            if u == v:
-                return f"self-loop at vertex {v}"
-            if u == previous:
-                return f"duplicate neighbor in adjacency of vertex {v}"
-            if u < previous:
-                return f"adjacency of vertex {v} is not sorted"
-            previous = u
-        neighbor_sets.append(set(nbrs))
-    for v, s in enumerate(neighbor_sets):
-        for u in s:
-            if v not in neighbor_sets[u]:
-                return f"asymmetric edge {v}-{u}"
-    return None
 
 
 # --- independent index evaluation (definitional per-edge sums) ---
