@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Union
 
 from .enumeration import Shape, canonical_shape
 from .graphs import MOLECULAR_MAX_DEGREE, Graph, is_molecular_tree
-from .indices import so2
+from .indices import INDEX_NAMES, so2
 
 
 class SmilesError(ValueError):
@@ -130,13 +130,15 @@ class DatasetError(ValueError):
 
 def load_dataset(path: Union[str, Path]) -> list[MoleculeRecord]:
     """Load a molecule dataset from a comma-separated file whose header
-    is ``name,smiles,<property>...``.  Empty cells mean the property is
-    absent for that molecule; non-finite values (nan, inf) and repeated
-    column names are errors.  SMILES are parsed later, once per record,
+    is ``name,smiles,<property>...``, with or without a UTF-8 byte-order
+    mark.  Empty cells mean the property is absent for that molecule;
+    non-finite values (nan, inf), repeated column names and property
+    names that are empty or an index name (which ``qspr`` would read as
+    that index) are errors.  SMILES are parsed later, once per record,
     on its first ``MoleculeRecord.graph`` call."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
     reader = csv.reader(text.splitlines())
@@ -153,6 +155,11 @@ def load_dataset(path: Union[str, Path]) -> list[MoleculeRecord]:
             raise DatasetError(f"{path}: row {header_line} (header) repeats "
                                f"column {column!r}")
     property_names = header[2:]
+    for column in property_names:
+        if not column or column in INDEX_NAMES:
+            raise DatasetError(
+                f"{path}: row {header_line} (header), column {column!r}: "
+                f"a property name may not be empty or an index name")
     records: list[MoleculeRecord] = []
     seen: set[str] = set()
     for lineno, row in rows[1:]:

@@ -3,8 +3,9 @@
 Subcommands: compute, enumerate, extremal, fit, parse.  Every value
 with an exact rational form is printed both ways ("p/q (decimal)" in
 plain format, tab-separated fields in tsv), because the extremal
-statements are exact and decimals alone hide ties.  Output is
-deterministic for identical inputs.
+statements are exact and decimals alone hide ties (``enumerate``
+prints only edge lists or a count, so it has no ``--format``).  Output
+is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ def _cmd_extremal(args: argparse.Namespace) -> list[str]:
     fmt = args.format
     lines: list[str] = []
     if args.verify_up_to is not None:
+        extra = [flag for flag, given in (("--n", args.n is not None),
+                                          ("--family", args.family),
+                                          ("--maximizers", args.maximizers))
+                 if given]
+        if extra:
+            raise ValueError(f"--verify-up-to does not take "
+                             f"{', '.join(extra)}")
         report = verify_extremal_bounds(args.verify_up_to)
         for check in report.checks:
             status = "ok" if check.passed else "VIOLATION"
@@ -103,16 +111,18 @@ def _cmd_extremal(args: argparse.Namespace) -> list[str]:
     if n >= 5:
         lines.append(_kv("molecular_max_so2",
                          _fmt_exact(molecular_so2_max(n), fmt), fmt))
-    if args.family is not None:
-        member = build_family_member(args.family, n)
-        lines.append(_kv("family", str(args.family), fmt))
+    if args.family:
+        residue = n % 4  # the one family whose maximum n attains
+        member = build_family_member(residue, n)
+        lines.append(_kv("family", str(residue), fmt))
         lines.append(_kv("family_so2", _fmt_index(so2(member), fmt), fmt))
         lines.append(_kv("family_edges", _edge_string(member), fmt))
     if args.maximizers:
         value, attaining = argmax_so2(n, molecular=True)
         lines.append(_kv("maximizer_so2", _fmt_exact(value, fmt), fmt))
         for g in attaining:
-            lines.append(_kv("maximizer_edges", _edge_string(g), fmt))
+            lines.append(_kv("maximizer_edges",
+                             _edge_string(g) or "(no edges)", fmt))
     return lines
 
 
@@ -170,14 +180,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--molecular", action="store_true",
                    help="restrict to maximum degree four")
     p.add_argument("--emit", choices=("edgelist", "count"), default="edgelist")
-    add_format(p)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("extremal", help="closed-form bounds, extremal "
                                         "families, brute-force verification")
     p.add_argument("--n", type=int)
     p.add_argument("--verify-up-to", type=int, dest="verify_up_to")
-    p.add_argument("--family", type=int, choices=(0, 1, 2, 3))
+    p.add_argument("--family", action="store_true",
+                   help="emit the canonical extremal family member for "
+                        "n mod 4")
     p.add_argument("--maximizers", action="store_true",
                    help="emit the molecular maximizer edge lists")
     add_format(p)

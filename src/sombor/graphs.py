@@ -79,9 +79,6 @@ class Graph:
                 if u < v:
                     yield u, v
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @cached_property
     def _edge_types(self) -> dict[tuple[int, int], int]:
         """The m_ij of ``edge_type_counts``, counted on first use and

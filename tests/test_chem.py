@@ -183,6 +183,26 @@ class TestDatasetLoading:
                                  r"column 'bp'"):
             load_dataset(f)
 
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        # as spreadsheet programs write UTF-8 CSV
+        f = tmp_path / "bom.csv"
+        f.write_text("\ufeffname,smiles,bp\nbutane,CCCC,1.0\n",
+                     encoding="utf-8")
+        records = load_dataset(f)
+        assert [(r.name, r.properties) for r in records] == [
+            ("butane", {"bp": 1.0})]
+
+    @pytest.mark.parametrize("column", ["", "so2", "m1", "mn"])
+    def test_empty_or_index_property_name_rejected(self, tmp_path, column):
+        # qspr would read an index-named column as the computed index
+        f = tmp_path / "shadow.csv"
+        f.write_text(f"name,smiles,bp,{column}\nbutane,CCCC,1.0,2.0\n")
+        with pytest.raises(DatasetError,
+                           match=rf"shadow\.csv: row 1 \(header\), "
+                                 rf"column '{column}': a property name may "
+                                 rf"not be empty or an index name"):
+            load_dataset(f)
+
     def test_rows_are_numbered_by_file_line(self, tmp_path):
         f = tmp_path / "blank.csv"
         f.write_text("name,smiles,bp\n\na,CCCC,1\n\nb,CCCCC,oops\n")

@@ -106,6 +106,11 @@ class TestEnumerate:
         assert (capsys.readouterr().out
                 == ENUMERATE_10_GOLDENS[flags].read_text(encoding="utf-8"))
 
+    def test_format_is_not_an_option(self, capsys):
+        envelope = run(["enumerate", "--n", "4", "--format", "tsv"])
+        assert envelope.exit_status == 2
+        assert envelope.results == ()
+
     def test_cap_violation_exits_one(self, capsys):
         envelope = run(["enumerate", "--n", "25", "--emit", "count"])
         assert envelope.exit_status == 1
@@ -156,7 +161,7 @@ class TestExtremal:
         assert capsys.readouterr().out == ""
 
     def test_family_member_emission(self, capsys):
-        envelope = run(["extremal", "--n", "9", "--family", "1"])
+        envelope = run(["extremal", "--n", "9", "--family"])
         assert envelope.exit_status == 0
         out = lines_of(capsys)
         assert any(line.startswith("family_so2 552/85") for line in out)
@@ -170,9 +175,36 @@ class TestExtremal:
         assert any(line.startswith("maximizer_so2 90/17") for line in out)
         assert sum(1 for line in out if line.startswith("maximizer_edges")) == 1
 
-    def test_family_residue_mismatch_exits_one(self, capsys):
-        envelope = run(["extremal", "--n", "9", "--family", "2"])
+    def test_family_takes_no_residue(self, capsys):
+        # n fixes the family, so a residue argument is a usage error
+        envelope = run(["extremal", "--n", "9", "--family", "1"])
+        assert envelope.exit_status == 2
+        assert envelope.results == ()
+
+    def test_family_below_its_minimum_order_exits_one(self, capsys):
+        envelope = run(["extremal", "--n", "8", "--family"])
         assert envelope.exit_status == 1
+        assert envelope.warnings == ("family 0 needs n >= 12, got n=8",)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("extra, refused", [
+        (["--n", "9"], "--n"), (["--family"], "--family"),
+        (["--maximizers"], "--maximizers"),
+        (["--maximizers", "--n", "9", "--family"],
+         "--n, --family, --maximizers"),
+    ], ids=["n", "family", "maximizers", "all"])
+    def test_verify_refuses_single_order_options(self, extra, refused,
+                                                 capsys):
+        envelope = run(["extremal", "--verify-up-to", "4", *extra])
+        assert envelope.exit_status == 1
+        assert envelope.warnings == (f"--verify-up-to does not take {refused}",)
+        assert capsys.readouterr().out == ""
+
+    def test_single_vertex_maximizer_has_no_edges(self, capsys):
+        envelope = run(["extremal", "--n", "1", "--maximizers"])
+        assert envelope.exit_status == 0
+        assert lines_of(capsys) == ["n 1", "maximizer_so2 0 (0.0)",
+                                    "maximizer_edges (no edges)"]
 
     def test_needs_some_action(self, capsys):
         envelope = run(["extremal"])
@@ -230,6 +262,16 @@ class TestFit:
         envelope = run(["fit", "--dataset", str(f), "--property", "Y"])
         assert envelope.exit_status == 1
         assert "non-finite value 'nan'" in envelope.warnings[0]
+        assert lines_of(capsys) == []
+
+    def test_index_named_property_exits_one(self, tmp_path, capsys):
+        # it would otherwise fit so2 against the computed M1 (10, 12, 14)
+        f = tmp_path / "m1.csv"
+        f.write_text("name,smiles,m1\na,CCCC,100\nb,CC(C)C,7\nc,CCCCC,3\n")
+        envelope = run(["fit", "--dataset", str(f), "--property", "m1",
+                        "--emit-points"])
+        assert envelope.exit_status == 1
+        assert "column 'm1'" in envelope.warnings[0]
         assert lines_of(capsys) == []
 
 
