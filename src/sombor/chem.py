@@ -11,6 +11,7 @@ SMILES are written from the enumerator's canonical shape
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from dataclasses import dataclass
@@ -138,9 +139,19 @@ def load_dataset(path: Union[str, Path]) -> list[MoleculeRecord]:
     on its first ``MoleculeRecord.graph`` call."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        data = path.read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
+    # decoded here, not by a text-mode read, so an error's offset counts
+    # from the start of the file
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        text = data[bom:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = bom + exc.start
+        line = data.count(b"\n", 0, offset) + 1
+        raise DatasetError(f"{path}: line {line}, byte {offset}: not UTF-8 "
+                           f"text ({exc.reason})") from None
     reader = csv.reader(text.splitlines())
     # (file line, cells) of the non-blank rows, so messages name file lines
     rows = [(reader.line_num, row) for row in reader

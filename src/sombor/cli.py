@@ -55,9 +55,10 @@ def _kv(key: str, value: str, fmt: str) -> str:
 
 
 def _edge_string(g: Graph) -> str:
-    """The edges of `g` as "u-v" with u < v, in sorted order."""
-    return " ".join([f"{u}-{v}" for u, nbrs in enumerate(g.adjacency)
-                     for v in nbrs if u < v])
+    """The edges of `g` as "u-v" with u < v, in sorted order: the text
+    the graph keeps, which an enumerated tree gets from its memoised
+    branches and any other graph writes on first use."""
+    return g._edge_text
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -226,8 +227,8 @@ def run(argv: list[str]) -> OutputEnvelope:
         print(f"error: {exc}", file=sys.stderr)
         return OutputEnvelope(command=command, warnings=(str(exc),),
                               exit_status=1)
-    for line in lines:
-        print(line)
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
     return OutputEnvelope(command=command, results=tuple(lines))
 
 

@@ -30,9 +30,12 @@ scan; ``argmax_so2`` and ``argmin_so2`` are views of it.  Only the trees
 a caller asks for -- the streamed ones, or the attainers of an extreme
 -- are built as ``Graph``s, labelled depth first from vertex 0.  A
 branch hung from vertex 0 at a given first label always gets the same
-sorted neighbour rows, so those rows are memoised per (shape, first
-label) and a tree's adjacency is vertex 0's row followed by its
-branches' rows; every ``Graph`` is still validated as it is built.  The
+sorted neighbour rows and the same edges, so those rows and the edges'
+text are memoised per (shape, first label).  A tree's adjacency is
+vertex 0's row followed by its branches' rows, and its edge text,
+which the ``Graph`` keeps for whoever writes it, is vertex 0's edges
+followed by its branches' texts; every ``Graph`` is still validated as
+it is built.  The
 same generator drives the ``Graph`` streams, the counts and the so2
 scan, so all of them see the same trees in the same order with the same
 vertex labels.
@@ -185,21 +188,33 @@ def _scored_trees(n: int, max_degree: Optional[int]
 
 
 @cache
-def _rows(shape: Shape, first: int) -> tuple[tuple[int, ...], ...]:
+def _rows(shape: Shape, first: int
+          ) -> tuple[tuple[tuple[int, ...], ...], str]:
     """The sorted neighbour rows of the branch `shape` with its root
     labelled `first` and hung from vertex 0, its vertices labelled depth
-    first: row i belongs to vertex first + i.  The rows depend on the
-    shape and the offset only, so every tree that hangs this branch at
-    this offset shares them."""
+    first: row i belongs to vertex first + i.  With them, the branch's
+    own edges as text, each written " u-v" (u < v) in sorted order, so
+    the texts of consecutive branches concatenate in sorted order too.
+    Both depend on the shape and the offset only, so every tree that
+    hangs this branch at this offset shares them."""
     children, rows = [], []
     label = first + 1
     for child in shape:
-        below = _rows(child, label)
+        below, _ = _rows(child, label)
         children.append(label)
         rows.append((first, *below[0][1:]))  # re-hang from `first`
         rows.extend(below[1:])
         label += len(below)
-    return ((0, *children), *rows)
+    rows = ((0, *children), *rows)
+    return rows, "".join([f" {u}-{v}" for u, nbrs in enumerate(rows, first)
+                          for v in nbrs if u < v])
+
+
+@cache
+def _hanging(roots: tuple[int, ...]) -> str:
+    """The edge text of vertex 0's edges to `roots`: many trees share
+    vertex 0's row, so this too is memoised."""
+    return " ".join([f"0-{root}" for root in roots])
 
 
 def _graph(n: int, tree: _Tree) -> Graph:
@@ -209,16 +224,22 @@ def _graph(n: int, tree: _Tree) -> Graph:
     the first half's children -- contributes its memoised ``_rows``, so
     the adjacency is vertex 0's row plus those rows in label order.
     Every row comes out sorted (parent first, then the children in label
-    order), so it is handed to ``Graph`` as built."""
+    order), so it is handed to ``Graph`` as built.  The edges in sorted
+    order are vertex 0's, then each branch's in label order, so the
+    ``Graph`` gets its edge text from the memoised branch texts too."""
     first, second = tree
     shapes = ([branch.shape for branch in first] if second is None
               else [*first.shape, second.shape])
-    roots, adjacency = [], [()]
+    roots, adjacency, texts = [], [()], []
     for shape in shapes:
         roots.append(len(adjacency))
-        adjacency.extend(_rows(shape, len(adjacency)))
-    adjacency[0] = tuple(roots)
-    return Graph(n, tuple(adjacency))
+        rows, text = _rows(shape, len(adjacency))
+        adjacency.extend(rows)
+        texts.append(text)
+    adjacency[0] = roots = tuple(roots)
+    g = Graph(n, tuple(adjacency))
+    vars(g)["_edge_text"] = _hanging(roots) + "".join(texts)
+    return g
 
 
 def canonical_shape(g: Graph) -> Shape:

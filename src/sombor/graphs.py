@@ -80,6 +80,14 @@ class Graph:
                     yield u, v
 
     @cached_property
+    def _edge_text(self) -> str:
+        """The edges as "u-v" (u < v) in sorted order, space-joined:
+        written on first use, or filled in by whoever builds the graph
+        from text it already holds (the enumerator does)."""
+        return " ".join([f"{u}-{v}" for u, nbrs in enumerate(self.adjacency)
+                         for v in nbrs if u < v])
+
+    @cached_property
     def _edge_types(self) -> dict[tuple[int, int], int]:
         """The m_ij of ``edge_type_counts``, counted on first use and
         shared by every later reader, none of which may change it."""
@@ -220,13 +228,17 @@ def parse_edge_list(text: str) -> Graph:
              if raw.strip()]
     if not lines:
         raise ValueError("empty edge-list input")
-    head = lines[0][1].split()
+    head_line, head = lines[0][0], lines[0][1].split()
     if len(head) != 2:
         raise ValueError('first line must be "n m"')
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ValueError('first line must contain two integers "n m"') from None
+    if n < 1:
+        raise ValueError(f"line {head_line}: vertex count must be positive")
+    if m < 0:
+        raise ValueError(f"line {head_line}: edge count must not be negative")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges: set[tuple[int, int]] = set()

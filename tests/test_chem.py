@@ -192,6 +192,20 @@ class TestDatasetLoading:
         assert [(r.name, r.properties) for r in records] == [
             ("butane", {"bp": 1.0})]
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_non_utf8_file_names_line_and_byte(self, tmp_path, bom):
+        # a Latin-1 file: the e-acute is one byte, 0xe9, which UTF-8
+        # cannot decode before an ASCII letter
+        f = tmp_path / "latin1.csv"
+        f.write_bytes(bom + "name,smiles,bp\nbutane,CCCC,1.0\n"
+                            "buténe,CCCC,2.0\n".encode("latin-1"))
+        offset = len(bom) + 34
+        with pytest.raises(DatasetError,
+                           match=rf"latin1\.csv: line 3, byte {offset}: "
+                                 r"not UTF-8 text \(invalid continuation "
+                                 r"byte\)$"):
+            load_dataset(f)
+
     @pytest.mark.parametrize("column", ["", "so2", "m1", "mn"])
     def test_empty_or_index_property_name_rejected(self, tmp_path, column):
         # qspr would read an index-named column as the computed index

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sombor import cli
 from sombor.chem import parse_alkane_smiles
 from sombor.cli import OutputEnvelope, run
+from sombor.enumeration import enumerate_molecular_trees, enumerate_trees
 
 from helpers import simple_graphs
 
@@ -296,11 +297,17 @@ def reference_edge_string(g):
     return " ".join(f"{u}-{v}" for u, v in g.edges())
 
 
+# both centroid kinds, degrees above and below four
+ENUMERATED_TREES = [*enumerate_trees(10), *enumerate_molecular_trees(11)]
+
+
 class TestEdgeString:
     @settings(deadline=None, max_examples=50)
-    @given(simple_graphs(max_n=30))
-    def test_equals_the_edge_list(self, g):
+    @given(simple_graphs(max_n=30), st.sampled_from(ENUMERATED_TREES))
+    def test_equals_the_edge_list(self, g, tree):
         assert cli._edge_string(g) == reference_edge_string(g)
+        # an enumerated tree's text comes from its memoised branches
+        assert cli._edge_string(tree) == reference_edge_string(tree)
 
     def test_parse_writes_a_5000_carbon_chain(self, capsys):
         smiles = "C" * 5000

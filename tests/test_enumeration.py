@@ -126,7 +126,11 @@ class TestLabelling:
         kinds = Counter()
         for n, max_degree in orders:
             for tree in _trees(n, max_degree):
-                assert _graph(n, tree) == reference_graph(n, tree)
+                g = _graph(n, tree)
+                assert g == reference_graph(n, tree)
+                # the edge text filled in from the memoised branch texts
+                assert g._edge_text == " ".join(f"{u}-{v}"
+                                                for u, v in g.edges())
                 kinds["vertex" if tree[1] is None else "edge"] += 1
         assert kinds["vertex"] > 0 and kinds["edge"] > 0
         return sum(kinds.values())

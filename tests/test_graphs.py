@@ -314,3 +314,14 @@ class TestEdgeListFormat:
         # blank lines count: the number is the line's place in the text
         with pytest.raises(ValueError, match="line 4: edge 1-5 out of range"):
             parse_edge_list("3 2\n\n0 1\n1 5\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 -1\n", "line 1: edge count must not be negative"),
+        ("-2 0\n", "line 1: vertex count must be positive"),
+        # leading blank lines are skipped, but they count
+        ("\n \n0 0\n", "line 3: vertex count must be positive"),
+    ])
+    def test_parse_names_the_line_of_an_impossible_header(self, text,
+                                                          message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_edge_list(text)
