@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .enumeration import Shape, canonical_shape
-from .graphs import MOLECULAR_MAX_DEGREE, Graph, is_molecular_tree
+from .graphs import (MOLECULAR_MAX_DEGREE, Graph, decode_utf8,
+                     is_molecular_tree)
 from .indices import INDEX_NAMES, so2
 
 
@@ -87,10 +88,14 @@ def alkane_to_smiles(g: Graph) -> str:
     ``canonical_shape``: the centroid first, each atom's branches in the
     shape's order, the last one unparenthesized.  Isomorphic trees
     serialize identically."""
-    if not is_molecular_tree(g):
+    if max(map(len, g.adjacency)) > MOLECULAR_MAX_DEGREE:
         raise ValueError("not a molecular tree")
+    try:
+        shape = canonical_shape(g)
+    except ValueError:  # not a tree
+        raise ValueError("not a molecular tree") from None
     out: list[str] = []
-    _write(canonical_shape(g), out)
+    _write(shape, out)
     return "".join(out)
 
 
@@ -142,16 +147,11 @@ def load_dataset(path: Union[str, Path]) -> list[MoleculeRecord]:
         data = path.read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
-    # decoded here, not by a text-mode read, so an error's offset counts
-    # from the start of the file
     bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        text = data[bom:].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        offset = bom + exc.start
-        line = data.count(b"\n", 0, offset) + 1
-        raise DatasetError(f"{path}: line {line}, byte {offset}: not UTF-8 "
-                           f"text ({exc.reason})") from None
+        text = decode_utf8(data, path, bom)
+    except ValueError as exc:
+        raise DatasetError(str(exc)) from None
     reader = csv.reader(text.splitlines())
     # (file line, cells) of the non-blank rows, so messages name file lines
     rows = [(reader.line_num, row) for row in reader

@@ -21,7 +21,7 @@ from .enumeration import (argmax_so2, count_trees, enumerate_molecular_trees,
                           enumerate_trees)
 from .extremal import (build_family_member, molecular_so2_max,
                        tree_so2_bounds, verify_extremal_bounds)
-from .graphs import Graph, degrees, parse_edge_list
+from .graphs import Graph, decode_utf8, degrees, parse_edge_list
 from .indices import INDEX_NAMES, IndexValue, index_by_name, so2
 from .qspr import fit_property
 
@@ -64,8 +64,8 @@ def _edge_string(g: Graph) -> str:
 def _load_graph(args: argparse.Namespace) -> Graph:
     if args.smiles is not None:
         return parse_alkane_smiles(args.smiles)
-    text = Path(args.input).read_text(encoding="utf-8")
-    return parse_edge_list(text)
+    path = Path(args.input)
+    return parse_edge_list(decode_utf8(path.read_bytes(), path))
 
 
 def _cmd_compute(args: argparse.Namespace) -> list[str]:

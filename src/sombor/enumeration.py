@@ -258,15 +258,21 @@ def canonical_shape(g: Graph) -> Shape:
         size[p] += size[v]
         heaviest[p] = max(heaviest[p], size[v])
     centroids = [v for v in range(n) if 2 * max(heaviest[v], n - size[v]) <= n]
-    order, parent = _bfs(g, centroids[0])
+    top = centroids[0]
+    order, parent = _bfs(g, top)
     shape: list[Shape] = [()] * n
     size = [1] * n
     for v in reversed(order):
-        children = sorted(((size[u], shape[u]) for u in g.adjacency[v]
-                           if u != parent[v]), reverse=True)
+        nbrs = g.adjacency[v]
+        if len(nbrs) == 1 and v != top:
+            continue  # a leaf keeps shape () and size 1
+        p = parent[v]
+        children = [(size[u], shape[u]) for u in nbrs if u != p]
+        if len(children) > 1:
+            children.sort(reverse=True)
         shape[v] = tuple(s for _, s in children)
         size[v] += sum(k for k, _ in children)
-    root = shape[centroids[0]]
+    root = shape[top]
     if len(centroids) == 2:
         # the other end's half comes first: it has n/2 of the n - 1
         half, rest = root[0], root[1:]

@@ -220,6 +220,19 @@ def edge_type_profile(g: Graph) -> EdgeTypeProfile:
                            degree_counts=dict(Counter(degrees(g))), n=g.n)
 
 
+def decode_utf8(data: bytes, path: object, start: int = 0) -> str:
+    """``data[start:]``, the bytes of the file ``path``, decoded as UTF-8.
+    A decoding error names the file, the line and the byte offset
+    counted from the start of the file."""
+    try:
+        return data[start:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = start + exc.start
+        line = data.count(b"\n", 0, offset) + 1
+        raise ValueError(f"{path}: line {line}, byte {offset}: not UTF-8 "
+                         f"text ({exc.reason})") from None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain-text edge-list format: first line "n m", then m
     lines "u v" with 0-based vertex ids.  Blank lines are skipped; errors
@@ -230,11 +243,12 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError("empty edge-list input")
     head_line, head = lines[0][0], lines[0][1].split()
     if len(head) != 2:
-        raise ValueError('first line must be "n m"')
+        raise ValueError(f'line {head_line}: header must be "n m"')
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise ValueError('first line must contain two integers "n m"') from None
+        raise ValueError(f'line {head_line}: header must contain two '
+                         f'integers "n m"') from None
     if n < 1:
         raise ValueError(f"line {head_line}: vertex count must be positive")
     if m < 0:

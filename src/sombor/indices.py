@@ -13,8 +13,9 @@ of ``INDEX_NAMES`` (the kernels, then neighborhood Zagreb).
 
 The m_ij are counted once per ``Graph`` and kept on it, so evaluating
 several indices of one graph walks its edges once; each kernel keeps its
-own memo of F(i, j), one entry per degree pair.  The public
-``edge_type_counts`` still returns a fresh dict per call.
+own memo of F(i, j), one entry per degree pair, and an exact sum is one
+integer numerator over the running lcm of the terms' denominators.  The
+public ``edge_type_counts`` still returns a fresh dict per call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
 
-from .graphs import Graph, EdgeTypeProfile, degrees
+from .graphs import Graph, EdgeTypeProfile
 
 
 @dataclass(frozen=True)
@@ -46,16 +47,25 @@ class VdbKernel:
     """A symmetric edge kernel F(x, y) on positive integer degrees:
     ``term`` returns a ``Fraction`` if ``exact``, else a float.  Calling
     the kernel evaluates ``term`` once per degree pair, into a memo that
-    is freed with the kernel."""
+    is freed with the kernel; an exact kernel also memoises each term's
+    (numerator, denominator), which is what sums read."""
 
     name: str
     term: Callable[[int, int], float | Fraction]
     exact: bool = False
     _memo: Callable[[int, int], float | Fraction] = field(
         init=False, repr=False, compare=False)
+    _ratio: Optional[Callable[[int, int], tuple[int, int]]] = field(
+        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_memo", cache(self.term))
+        memo = cache(self.term)
+        object.__setattr__(self, "_memo", memo)
+        if self.exact:
+            def ratio(x: int, y: int) -> tuple[int, int]:
+                value = memo(x, y)
+                return value.numerator, value.denominator
+            object.__setattr__(self, "_ratio", cache(ratio))
 
     def __call__(self, x: int, y: int) -> float | Fraction:
         return self._memo(x, y)
@@ -84,16 +94,24 @@ INDEX_NAMES = (*KERNELS, "mn")
 def _kernel_sum(m: dict[tuple[int, int], int], kernel: VdbKernel) -> IndexValue:
     """Sum of m_ij * F(i, j) over the nonzero edge-type counts ``m``: exact
     for an exact kernel, ``math.fsum`` of the float terms otherwise."""
-    term = kernel._memo  # the memo itself: no Python-level call per term
     if not kernel.exact:
+        term = kernel._memo  # the memo itself: no Python-level call per term
         return IndexValue(approx=math.fsum(
             count * term(i, j) for (i, j), count in m.items() if count))
-    terms = [(count, term(i, j)) for (i, j), count in m.items() if count]
-    # integer numerators over the lcm denominator: one normalisation
-    den = math.lcm(*(t.denominator for _, t in terms))
-    total = Fraction(sum(count * t.numerator * (den // t.denominator)
-                         for count, t in terms), den)
-    return IndexValue(approx=float(total), exact=total)
+    ratio = kernel._ratio
+    # one integer numerator over the running lcm of the denominators
+    num, den = 0, 1
+    for (i, j), count in m.items():
+        if count:
+            a, b = ratio(i, j)
+            if den % b:
+                scale = b // math.gcd(den, b)
+                num *= scale
+                den *= scale
+            num += count * a * (den // b)
+    total = Fraction(num, den)
+    # the correctly rounded quotient, as float(total) computes it
+    return IndexValue(approx=total.numerator / total.denominator, exact=total)
 
 
 def so2(g: Graph) -> IndexValue:
@@ -115,10 +133,12 @@ def vdb_index(g: Graph, kernel: VdbKernel) -> IndexValue:
 def neighborhood_zagreb(g: Graph) -> IndexValue:
     """Neighborhood Zagreb index: sum over vertices of the squared sum
     of neighbor degrees."""
-    deg = degrees(g)
+    rows = g.adjacency
     total = 0
-    for v in range(g.n):
-        s = sum(deg[u] for u in g.adjacency[v])
+    for nbrs in rows:
+        s = 0
+        for u in nbrs:
+            s += len(rows[u])  # the degree of u
         total += s * s
     return IndexValue(approx=float(total), exact=Fraction(total))
 

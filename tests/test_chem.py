@@ -111,6 +111,16 @@ class TestSmilesWriting:
         with pytest.raises(ValueError):
             alkane_to_smiles(star6)
 
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(0, 1), (1, 2), (2, 0)]),  # a triangle
+        (5, [(0, 1), (2, 3), (3, 4)]),  # a forest of two paths
+        (7, [(0, i) for i in range(1, 6)] + [(5, 6)]),  # a degree-5 vertex
+    ], ids=["triangle", "forest", "degree-5"])
+    def test_non_molecular_tree_message(self, n, edges):
+        from sombor.graphs import Graph
+        with pytest.raises(ValueError, match="^not a molecular tree$"):
+            alkane_to_smiles(Graph.from_edges(n, edges))
+
 
 class TestDatasetLoading:
     def test_packaged_octanes(self):

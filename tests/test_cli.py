@@ -75,6 +75,18 @@ class TestCompute:
         envelope = run(["compute", "--index", "so2", "--input", "/nonexistent"])
         assert envelope.exit_status == 1
 
+    def test_non_utf8_file_names_line_and_byte(self, tmp_path, capsys):
+        # a Latin-1 e-acute (one byte, 0xe9) before a space: byte 9 of
+        # the file, on line 3
+        f = tmp_path / "latin1.txt"
+        f.write_bytes("3 2\n0 1\n1\u00e9 2\n".encode("latin-1"))
+        envelope = run(["compute", "--index", "so2", "--input", str(f)])
+        captured = capsys.readouterr()
+        assert envelope.exit_status == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: {f}: line 3, byte 9: not UTF-8 text "
+                                f"(invalid continuation byte)\n")
+
 
 class TestEnumerate:
     def test_molecular_count(self, capsys):

@@ -110,6 +110,14 @@ class TestCanonicalShape:
         assert sum(kinds.values()) == sum(FREE_TREE_COUNTS[:14])
         assert kinds["vertex"] > 0 and kinds["edge"] > 0
 
+    def test_root_may_be_a_leaf(self):
+        # n = 1: the root has no neighbour; n = 2: its one neighbour is
+        # a child, not a parent
+        assert canonical_shape(Graph(1, ((),))) == ()
+        assert canonical_shape(Graph.from_edges(2, [(0, 1)])) == ((),)
+        assert canonical_shape(Graph.from_edges(3, [(2, 0), (0, 1)])) == (
+            (), ())
+
     def test_rejects_non_trees(self):
         cycle_plus_isolated = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0)])
         for g in (cycle_plus_isolated, Graph.from_edges(3, [(0, 1)]),

@@ -320,6 +320,8 @@ class TestEdgeListFormat:
         ("-2 0\n", "line 1: vertex count must be positive"),
         # leading blank lines are skipped, but they count
         ("\n \n0 0\n", "line 3: vertex count must be positive"),
+        ("\n\na b\n", 'line 3: header must contain two integers "n m"'),
+        ("\n\t\n\n4\n", 'line 4: header must be "n m"'),
     ])
     def test_parse_names_the_line_of_an_impossible_header(self, text,
                                                           message):

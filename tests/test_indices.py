@@ -111,13 +111,15 @@ class TestVdbKernels:
                     assert isinstance(kernel(x, y), Fraction) is kernel.exact
 
     def test_memo_is_freed_with_the_kernel(self):
-        term = lambda x, y: float(x + y)  # noqa: E731
-        alive = weakref.ref(term)
-        kernel = VdbKernel("throwaway", term)
-        assert vdb_index(path(4), kernel).approx == 10.0
-        del kernel, term
-        gc.collect()
-        assert alive() is None
+        # an exact kernel's (numerator, denominator) memo too
+        for exact, kind in ((False, float), (True, Fraction)):
+            term = lambda x, y: kind(x + y)  # noqa: E731
+            alive = weakref.ref(term)
+            kernel = VdbKernel("throwaway", term, exact=exact)
+            assert vdb_index(path(4), kernel).approx == 10.0
+            del kernel, term
+            gc.collect()
+            assert alive() is None
 
     def test_first_zagreb_on_path(self):
         # per-edge degree sums: (1+2) + (2+2) + (2+1)
@@ -277,6 +279,21 @@ class TestRatioIdentity:
             assert so2(g).exact == g.edge_count - acc
 
 
+def _large_degree_graphs():
+    """The star K1,40, a random graph on 60 vertices (p = 0.5) and a
+    caterpillar whose three hubs have degrees 13, 17 and 19."""
+    yield star(41)
+    yield random_graph(random.Random(61), 60, 0.5)
+    hubs, edges, n = (13, 17, 19), [(0, 1), (1, 2)], 3
+    for hub, degree in enumerate(hubs):
+        leaves = degree - (2 if hub == 1 else 1)
+        edges += [(hub, leaf) for leaf in range(n, n + leaves)]
+        n += leaves
+    caterpillar = Graph.from_edges(n, edges)
+    assert [len(caterpillar.adjacency[h]) for h in range(3)] == list(hubs)
+    yield caterpillar
+
+
 def _definition_graphs():
     """Random graphs of every kind the sum must handle: edgeless ones,
     ones with isolated vertices, trees and graphs with cycles."""
@@ -306,6 +323,18 @@ class TestAgainstDefinition:
                 else:
                     assert got.exact is None
                     assert math.isclose(got.approx, want, rel_tol=1e-12), (name, g)
+
+    def test_exact_kernels_on_large_coprime_degrees(self):
+        # many degree pairs with large, mostly coprime denominators: the
+        # running lcm of the exact sum grows at nearly every term
+        for g in _large_degree_graphs():
+            for name, kernel in KERNELS.items():
+                if not kernel.exact:
+                    continue
+                got = vdb_index(g, kernel)
+                want = index_by_definition(g, name)
+                assert got.exact == want, (name, g.n)
+                assert got.approx == float(want), (name, g.n)
 
     def test_so2_entries_on_random_graphs(self):
         for g in _definition_graphs():
