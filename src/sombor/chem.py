@@ -21,8 +21,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .enumeration import Shape, canonical_shape
-from .graphs import (MOLECULAR_MAX_DEGREE, Graph, decode_utf8,
-                     is_molecular_tree)
+from .graphs import MOLECULAR_MAX_DEGREE, Graph, decode_utf8
 from .indices import INDEX_NAMES, so2
 
 
@@ -78,9 +77,7 @@ def parse_alkane_smiles(s: str) -> Graph:
             raise SmilesError(f"unsupported character {ch!r}", pos)
     if stack:
         raise SmilesError("unbalanced '('", len(s))
-    g = Graph(len(nbrs), tuple(map(tuple, nbrs)))
-    assert is_molecular_tree(g)
-    return g
+    return Graph(len(nbrs), tuple(map(tuple, nbrs)))
 
 
 def alkane_to_smiles(g: Graph) -> str:
@@ -149,13 +146,18 @@ def load_dataset(path: Union[str, Path]) -> list[MoleculeRecord]:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
     bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        text = decode_utf8(data, path, bom)
+        text = decode_utf8(data, bom)
     except ValueError as exc:
-        raise DatasetError(str(exc)) from None
-    reader = csv.reader(text.splitlines())
+        raise DatasetError(f"{path}: {exc}") from None
+    # lines end at "\n" only, as decode_utf8 counts them
+    reader = csv.reader(text.split("\n"))
     # (file line, cells) of the non-blank rows, so messages name file lines
-    rows = [(reader.line_num, row) for row in reader
-            if row and any(cell.strip() for cell in row)]
+    try:
+        rows = [(reader.line_num, row) for row in reader
+                if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:  # e.g. a carriage return inside a cell
+        reason = str(exc).partition(" - ")[0]  # less the module's file hint
+        raise DatasetError(f"{path}: row {reader.line_num}: {reason}") from None
     if not rows:
         raise DatasetError(f"{path}: empty dataset file")
     header_line, header = rows[0][0], [cell.strip() for cell in rows[0][1]]

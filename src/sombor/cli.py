@@ -65,7 +65,10 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if args.smiles is not None:
         return parse_alkane_smiles(args.smiles)
     path = Path(args.input)
-    return parse_edge_list(decode_utf8(path.read_bytes(), path))
+    try:  # a decoding or a parse error: either way, name the file
+        return parse_edge_list(decode_utf8(path.read_bytes()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_compute(args: argparse.Namespace) -> list[str]:

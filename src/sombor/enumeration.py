@@ -6,13 +6,16 @@ has a unique centroid vertex (every component of T - c has at most
 floor((n-1)/2) vertices) or, for even n, a unique centroid edge whose
 removal splits it into two halves of exactly n/2 vertices.  Rooted
 subtrees ("branches") are generated as canonical shapes -- nested
-tuples with children sorted in decreasing order -- and assembled into
-trees as multisets of branches below the centroid, or unordered pairs
-of half-size branches across the centroid edge.  Each isomorphism
-class is produced exactly once, with no post-hoc isomorphism filtering.
-``canonical_shape`` computes the same shape for any labelled tree, so
-it is the one canonical form of a tree: canonical SMILES
-(``chem.alkane_to_smiles``) are written from it.
+tuples with children sorted in decreasing order -- in one memoised
+table per (child cap, order), holding every branch of each size up to
+order // 2 and its child tuple, built bottom up.  A tree is one form,
+the tuple of vertex 0's branches: the multiset of branches below the
+centroid, or, for an unordered pair of half-size branches across the
+centroid edge, the first half's children followed by the second half.
+Each isomorphism class is produced exactly once, with no post-hoc
+isomorphism filtering.  ``canonical_shape`` computes the same shape
+for any labelled tree, so it is the one canonical form of a tree:
+canonical SMILES (``chem.alkane_to_smiles``) are written from it.
 
 A maximum-degree cap is applied while generating (branch nodes get at
 most cap-1 children, the centroid at most cap), so restricting to
@@ -24,8 +27,8 @@ so it is evaluated on the shapes themselves.  Each branch carries its
 shape, its max degree and the so2 of its own edges, scaled by L, the lcm
 of the so2 terms' denominators over the degree pairs i + j <= n possible
 at order n, so every edge term is an integer.  A tree's value is then an
-integer sum over the centroid's branches (or the two halves and the
-bridging edge), divided by L once.  ``so2_extremes`` is the one so2
+integer sum over vertex 0's branches, each with its edge to vertex 0,
+divided by L once.  ``so2_extremes`` is the one so2
 scan; ``argmax_so2`` and ``argmin_so2`` are views of it.  Only the trees
 a caller asks for -- the streamed ones, or the attainers of an extreme
 -- are built as ``Graph``s, labelled depth first from vertex 0.  A
@@ -46,8 +49,8 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from functools import cache, lru_cache
-from typing import Iterator, NamedTuple, Optional
+from functools import cache
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import MOLECULAR_MAX_DEGREE, Graph, _bfs
 # so2 stays importable from this module
@@ -70,8 +73,8 @@ class _Branch(NamedTuple):
     max_degree: int
 
 
-# a generated tree: (branches below the centroid vertex, None), or
-# (half, other half) across the centroid edge
+# a generated tree: the branches of vertex 0 -- the centroid's, or
+# across a centroid edge one half's children followed by the other half
 _Tree = tuple
 
 
@@ -89,7 +92,7 @@ def enumeration_cap() -> int:
     return cap
 
 
-@lru_cache(maxsize=None)
+@cache
 def _edge_terms(order: int, max_degree: Optional[int]
                 ) -> tuple[int, tuple[tuple[Optional[int], ...], ...]]:
     """The scale L of the trees on `order` vertices with degrees at most
@@ -106,66 +109,72 @@ def _edge_terms(order: int, max_degree: Optional[int]
     return scale, tuple(map(tuple, terms))
 
 
-@lru_cache(maxsize=None)
-def _branches(size: int, max_children: Optional[int],
-              order: int) -> tuple[_Branch, ...]:
-    """All canonical branches with `size` nodes in which every node has
-    at most `max_children` children (None = unbounded), their so2 scaled
-    for trees on `order` vertices."""
-    if size == 1:
-        return (_Branch((), 0, 1, 1),)
+@cache
+def _tables(max_children: Optional[int], order: int
+            ) -> tuple[tuple[tuple[_Branch, ...], ...],
+                       tuple[tuple[tuple[_Branch, ...], ...], ...]]:
+    """``branches[s]``: every canonical branch with s nodes, s <= order
+    // 2, in which every node has at most `max_children` children (None
+    = unbounded), its so2 scaled for trees on `order` vertices; and
+    ``children[s]``: each of those branches' child tuple, in the same
+    order.  Built bottom up, size s from the multisets of smaller ones."""
     _, terms = _edge_terms(order, None if max_children is None
                            else max_children + 1)
-    cap = size - 1 if max_children is None else min(max_children, size - 1)
-    out = []
-    for children in _multisets(size - 1, size - 1, cap, max_children, order,
-                               None):
-        degree = len(children) + 1
-        row = terms[degree]
-        out.append(_Branch(
-            tuple(c.shape for c in children),
-            sum(c.so2 + row[c.degree] for c in children),
-            degree,
-            max(degree, *(c.max_degree for c in children))))
-    return tuple(out)
+    branches, children = [(), (_Branch((), 0, 1, 1),)], [(), ((),)]
+    for size in range(2, order // 2 + 1):
+        # size - 1 nodes below the root make at most size - 1 children
+        cap = size - 1 if max_children is None else max_children
+        kids = tuple(_multisets(size - 1, size - 1, cap, branches, None))
+        out = []
+        for parts in kids:
+            degree = len(parts) + 1
+            row = terms[degree]
+            out.append(_Branch(
+                tuple(c.shape for c in parts),
+                sum(c.so2 + row[c.degree] for c in parts),
+                degree,
+                max(degree, *(c.max_degree for c in parts))))
+        branches.append(tuple(out))
+        children.append(kids)
+    return tuple(branches), tuple(children)
 
 
 def _multisets(total: int, max_size: int, max_parts: int,
-               max_children: Optional[int], order: int,
+               branches: Sequence[tuple[_Branch, ...]],
                bound: Optional[_Branch]) -> Iterator[tuple[_Branch, ...]]:
-    """Multisets of branches with the given total size, emitted as tuples
-    sorted decreasingly by (size, shape); `bound` caps the first element."""
+    """Multisets of at most `max_parts` of the `branches` with the given
+    total size, emitted as tuples sorted decreasingly by (size, shape);
+    `bound` caps the first element."""
     if total == 0:
         yield ()
         return
     if max_parts == 0:
         return
-    start = min(max_size, total)
-    for s in range(start, 0, -1):
-        for branch in _branches(s, max_children, order):
+    for s in range(min(max_size, total), 0, -1):
+        for branch in branches[s]:
             if (bound is not None and s == max_size
                     and branch.shape > bound.shape):
                 continue
-            for rest in _multisets(total - s, s, max_parts - 1,
-                                   max_children, order, branch):
+            for rest in _multisets(total - s, s, max_parts - 1, branches,
+                                   branch):
                 yield (branch,) + rest
 
 
 def _trees(n: int, max_degree: Optional[int]) -> Iterator[_Tree]:
     """Every tree on n vertices with degrees at most `max_degree`, once
-    per isomorphism class, in a fixed order."""
+    per isomorphism class, in a fixed order, as vertex 0's branches."""
     root_cap = n - 1 if max_degree is None else max_degree
-    child_cap = None if max_degree is None else max_degree - 1
+    branches, children = _tables(
+        None if max_degree is None else max_degree - 1, n)
     # unique-centroid trees: all branches strictly smaller than n/2
-    for parts in _multisets(n - 1, (n - 1) // 2, root_cap, child_cap, n,
-                            None):
-        yield parts, None
-    # centroid-edge trees: unordered pairs of half-size branches
+    yield from _multisets(n - 1, (n - 1) // 2, root_cap, branches, None)
+    # centroid-edge trees: unordered pairs of half-size branches, the
+    # first one's root as vertex 0
     if n % 2 == 0:
-        halves = _branches(n // 2, child_cap, n)
-        for i, a in enumerate(halves):
+        halves = branches[n // 2]
+        for i, below in enumerate(children[n // 2]):
             for b in halves[i:]:
-                yield a, b
+                yield (*below, b)
 
 
 def _scored_trees(n: int, max_degree: Optional[int]
@@ -173,17 +182,12 @@ def _scored_trees(n: int, max_degree: Optional[int]
     """(L * so2, max degree, tree) for every tree of `_trees`."""
     _, terms = _edge_terms(n, max_degree)
     for tree in _trees(n, max_degree):
-        first, second = tree
-        if second is None:
-            row = terms[len(first)]
-            value, top = 0, len(first)
-            for b in first:
-                value += b.so2 + row[b.degree]
-                if b.max_degree > top:
-                    top = b.max_degree
-        else:
-            value = first.so2 + second.so2 + terms[first.degree][second.degree]
-            top = max(first.max_degree, second.max_degree)
+        row = terms[len(tree)]
+        value, top = 0, len(tree)
+        for b in tree:
+            value += b.so2 + row[b.degree]
+            if b.max_degree > top:
+                top = b.max_degree
         yield value, top, tree
 
 
@@ -218,22 +222,17 @@ def _hanging(roots: tuple[int, ...]) -> str:
 
 
 def _graph(n: int, tree: _Tree) -> Graph:
-    """The tree rooted at vertex 0, the centroid (or the first half's
-    root), with vertices numbered in depth-first order.  Every branch of
-    vertex 0 -- and, across a centroid edge, the second half, hung after
-    the first half's children -- contributes its memoised ``_rows``, so
-    the adjacency is vertex 0's row plus those rows in label order.
+    """The tree rooted at vertex 0 with vertices numbered in depth-first
+    order.  Every branch of vertex 0 contributes its memoised ``_rows``,
+    so the adjacency is vertex 0's row plus those rows in label order.
     Every row comes out sorted (parent first, then the children in label
     order), so it is handed to ``Graph`` as built.  The edges in sorted
     order are vertex 0's, then each branch's in label order, so the
     ``Graph`` gets its edge text from the memoised branch texts too."""
-    first, second = tree
-    shapes = ([branch.shape for branch in first] if second is None
-              else [*first.shape, second.shape])
     roots, adjacency, texts = [], [()], []
-    for shape in shapes:
+    for branch in tree:
         roots.append(len(adjacency))
-        rows, text = _rows(shape, len(adjacency))
+        rows, text = _rows(branch.shape, len(adjacency))
         adjacency.extend(rows)
         texts.append(text)
     adjacency[0] = roots = tuple(roots)

@@ -220,24 +220,25 @@ def edge_type_profile(g: Graph) -> EdgeTypeProfile:
                            degree_counts=dict(Counter(degrees(g))), n=g.n)
 
 
-def decode_utf8(data: bytes, path: object, start: int = 0) -> str:
-    """``data[start:]``, the bytes of the file ``path``, decoded as UTF-8.
-    A decoding error names the file, the line and the byte offset
-    counted from the start of the file."""
+def decode_utf8(data: bytes, start: int = 0) -> str:
+    """``data[start:]``, the bytes of a file, decoded as UTF-8.  A
+    decoding error names the line and the byte offset counted from the
+    start of the file; callers prefix the file's name."""
     try:
         return data[start:].decode("utf-8")
     except UnicodeDecodeError as exc:
         offset = start + exc.start
         line = data.count(b"\n", 0, offset) + 1
-        raise ValueError(f"{path}: line {line}, byte {offset}: not UTF-8 "
-                         f"text ({exc.reason})") from None
+        raise ValueError(f"line {line}, byte {offset}: not UTF-8 text "
+                         f"({exc.reason})") from None
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain-text edge-list format: first line "n m", then m
     lines "u v" with 0-based vertex ids.  Blank lines are skipped; errors
-    name the line number in the text."""
-    lines = [(idx, raw.strip()) for idx, raw in enumerate(text.splitlines(), 1)
+    name the line number in the text, lines ending at "\n" only (as
+    ``decode_utf8`` counts them; a CR before it is stripped)."""
+    lines = [(idx, raw.strip()) for idx, raw in enumerate(text.split("\n"), 1)
              if raw.strip()]
     if not lines:
         raise ValueError("empty edge-list input")

@@ -156,15 +156,12 @@ def _attach(shape, parent, nbrs):
 
 
 def reference_graph(n: int, tree) -> Graph:
-    """The enumerator's labelling of a generated tree, built vertex by
-    vertex: rooted at vertex 0, numbered depth first, the second half
-    of a centroid-edge tree hung after the first half's children."""
-    first, second = tree
-    shapes = ([branch.shape for branch in first] if second is None
-              else [*first.shape, second.shape])
+    """The enumerator's labelling of a generated tree (vertex 0's
+    branches), built vertex by vertex: rooted at vertex 0, numbered
+    depth first."""
     nbrs = [[]]
-    for shape in shapes:
-        _attach(shape, 0, nbrs)
+    for branch in tree:
+        _attach(branch.shape, 0, nbrs)
     return Graph(n, tuple(map(tuple, nbrs)))
 
 

@@ -227,6 +227,52 @@ class TestDatasetLoading:
                                  rf"not be empty or an index name"):
             load_dataset(f)
 
+    @pytest.mark.parametrize("contents", ["", "\n \n\t\n"])
+    def test_empty_or_blank_file(self, tmp_path, contents):
+        f = tmp_path / "blank.csv"
+        f.write_text(contents)
+        with pytest.raises(DatasetError, match=r"blank\.csv: empty dataset "
+                                               r"file$"):
+            load_dataset(f)
+
+    def test_ragged_row(self, tmp_path):
+        f = tmp_path / "ragged.csv"
+        f.write_text("name,smiles,bp\na,CC,1\nb,CCC\n")
+        with pytest.raises(DatasetError, match=r"ragged\.csv: row 3 has 2 "
+                                               r"cells, expected 3$"):
+            load_dataset(f)
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\u2028"])
+    def test_lines_end_at_newline_only(self, tmp_path, separator):
+        # a form feed or a line separator inside a cell stays in it, and
+        # on a line of its own it is a blank line that still counts
+        f = tmp_path / "sep.csv"
+        f.write_text(f"name,smiles,bp\na{separator}b,CC,1\n",
+                     encoding="utf-8")
+        assert [(r.name, r.properties) for r in load_dataset(f)] == [
+            (f"a{separator}b", {"bp": 1.0})]
+        f.write_text(f"name,smiles,bp\n{separator}\nc,CC,x\n",
+                     encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"row 3 \(c\), column 'bp'"):
+            load_dataset(f)
+
+    def test_crlf_line_ends(self, tmp_path):
+        f = tmp_path / "crlf.csv"
+        f.write_bytes(b"name,smiles,bp\r\na,CC,1\r\n\r\nb,CCC,x\r\n")
+        with pytest.raises(DatasetError, match=r"row 4 \(b\), column 'bp'"):
+            load_dataset(f)
+        f.write_bytes(b"name,smiles,bp\r\na,CC,1\r\nb,CCC,2\r\n")
+        assert [(r.name, r.smiles, r.properties) for r in load_dataset(f)] == [
+            ("a", "CC", {"bp": 1.0}), ("b", "CCC", {"bp": 2.0})]
+
+    def test_carriage_return_inside_a_cell(self, tmp_path):
+        f = tmp_path / "cr.csv"
+        f.write_bytes(b"name,smiles,bp\na,CC,1\nb\rc,CCC,2\n")
+        with pytest.raises(DatasetError,
+                           match=r"cr\.csv: row 3: new-line character seen "
+                                 r"in unquoted field$"):
+            load_dataset(f)
+
     def test_rows_are_numbered_by_file_line(self, tmp_path):
         f = tmp_path / "blank.csv"
         f.write_text("name,smiles,bp\n\na,CCCC,1\n\nb,CCCCC,oops\n")

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -23,9 +24,28 @@ ENUMERATE_10_GOLDENS = {
                        / "enumerate_n10_molecular_edgelist.txt"),
 }
 
+# sha256 of stdout at n = 16, past the n = 10 goldens: many centroid-edge
+# trees, whose order and labels the generator must keep
+PINNED_OUTPUTS = {
+    ("enumerate", "--n", "16", "--emit", "edgelist"):
+        "a17c80cd288c46f895d54c3b78139ab6038723695ba451b5a49b2669ebfde7d1",
+    ("enumerate", "--n", "16", "--molecular", "--emit", "edgelist"):
+        "a93ff6517fae9b34bdab0592d224fbe016a1b3f529307d0dbfa9dcb44911a282",
+    ("extremal", "--verify-up-to", "16"):
+        "8521692150ed922751a18264d7b82c8bbc594602b9f5e2d5bbe73cfc39b8958a",
+}
+
 
 def lines_of(capsys):
     return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS),
+                         ids=[" ".join(argv) for argv in PINNED_OUTPUTS])
+def test_output_matches_pinned_sha256(argv, capsys):
+    assert run(list(argv)).exit_status == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == PINNED_OUTPUTS[argv]
 
 
 class TestCompute:
@@ -74,6 +94,21 @@ class TestCompute:
     def test_missing_file_exits_one(self, capsys):
         envelope = run(["compute", "--index", "so2", "--input", "/nonexistent"])
         assert envelope.exit_status == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\n0 1\n1 x\n", "line 3: vertex ids must be integers"),
+        ("3 2\n0 1\n", "expected 2 edge lines, found 1"),
+        ("", "empty edge-list input"),
+    ], ids=["bad-vertex-id", "missing-edge-line", "empty"])
+    def test_edge_list_error_names_the_file(self, tmp_path, capsys, text,
+                                            message):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        envelope = run(["compute", "--index", "so2", "--input", str(f)])
+        captured = capsys.readouterr()
+        assert envelope.exit_status == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {f}: {message}\n"
 
     def test_non_utf8_file_names_line_and_byte(self, tmp_path, capsys):
         # a Latin-1 e-acute (one byte, 0xe9) before a space: byte 9 of

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from sombor.enumeration import (DEFAULT_MAX_N, _edge_terms, _graph,
-                                _scored_trees, _trees, argmax_so2, argmin_so2,
-                                canonical_shape, count_trees,
+                                _scored_trees, _tables, _trees, argmax_so2,
+                                argmin_so2, canonical_shape, count_trees,
                                 enumerate_molecular_trees, enumerate_trees,
                                 enumeration_cap, so2_extremes)
 from sombor.graphs import Graph, degrees, is_molecular_tree, is_tree
@@ -86,14 +86,38 @@ class TestStreamProperties:
         assert first == second
 
 
-def _generated_shape(tree):
+def _size(shape):
+    return 1 + sum(map(_size, shape))
+
+
+def _kind(n, tree):
+    """"edge" for a centroid-edge tree -- its last branch of vertex 0 is
+    the other half, with n/2 nodes -- else "vertex"."""
+    return "edge" if tree and 2 * _size(tree[-1].shape) == n else "vertex"
+
+
+def _generated_shape(n, tree):
     """The shape the generator built: the centroid's branches, or for a
     centroid edge the shape rooted at the end with the larger half."""
-    first, second = tree
-    if second is None:
-        return tuple(branch.shape for branch in first)
-    low, high = sorted((first.shape, second.shape))
+    shapes = tuple(branch.shape for branch in tree)
+    if _kind(n, tree) == "vertex":
+        return shapes
+    low, high = sorted((shapes[:-1], shapes[-1]))
     return (high, *low)
+
+
+class TestTables:
+    @pytest.mark.parametrize("max_children", [None, 3])
+    def test_children_rebuild_each_branch(self, max_children):
+        for n in range(1, 17):
+            branches, children = _tables(max_children, n)
+            assert len(branches) == len(children) == max(n // 2, 1) + 1
+            for s in range(1, len(branches)):
+                assert len(children[s]) == len(branches[s]) > 0
+                for branch, kids in zip(branches[s], children[s]):
+                    assert branch.shape == tuple(c.shape for c in kids)
+                    assert _size(branch.shape) == s
+                    assert branch.degree == len(kids) + 1
 
 
 class TestCanonicalShape:
@@ -103,10 +127,10 @@ class TestCanonicalShape:
         for n in range(1, 15):
             for tree in _trees(n, None):
                 g = _graph(n, tree)
-                expected = _generated_shape(tree)
+                expected = _generated_shape(n, tree)
                 assert canonical_shape(g) == expected
                 assert canonical_shape(shuffled_copy(g, rng)) == expected
-                kinds["vertex" if tree[1] is None else "edge"] += 1
+                kinds[_kind(n, tree)] += 1
         assert sum(kinds.values()) == sum(FREE_TREE_COUNTS[:14])
         assert kinds["vertex"] > 0 and kinds["edge"] > 0
 
@@ -139,7 +163,7 @@ class TestLabelling:
                 # the edge text filled in from the memoised branch texts
                 assert g._edge_text == " ".join(f"{u}-{v}"
                                                 for u, v in g.edges())
-                kinds["vertex" if tree[1] is None else "edge"] += 1
+                kinds[_kind(n, tree)] += 1
         assert kinds["vertex"] > 0 and kinds["edge"] > 0
         return sum(kinds.values())
 
@@ -176,6 +200,10 @@ class TestCap:
         monkeypatch.setenv("SOMBOR_MAX_N", "junk")
         with pytest.raises(ValueError, match="integer"):
             enumeration_cap()
+        monkeypatch.setenv("SOMBOR_MAX_N", "0")
+        with pytest.raises(ValueError, match="^SOMBOR_MAX_N must be "
+                                             "positive$"):
+            enumerate_trees(1)
 
 
 class TestExtremes:
@@ -229,6 +257,23 @@ class TestShapeLevelSo2:
                 g = _graph(n, tree)
                 assert Fraction(value, scale) == so2(g).exact
                 assert top == max(degrees(g))
+
+    @pytest.mark.parametrize("max_degree", [None, 4])
+    def test_centroid_edge_value_is_both_halves_and_the_bridge(self,
+                                                              max_degree):
+        # vertex 0's branches (one half's children, then the other half)
+        # sum to the two halves' own so2 plus the edge between them
+        for n in range(2, 17, 2):
+            branches, _ = _tables(None if max_degree is None
+                                  else max_degree - 1, n)
+            _, terms = _edge_terms(n, max_degree)
+            halves = branches[n // 2]
+            expected = [(a.so2 + b.so2 + terms[a.degree][b.degree],
+                         max(a.max_degree, b.max_degree))
+                        for i, a in enumerate(halves) for b in halves[i:]]
+            assert [(value, top) for value, top, tree
+                    in _scored_trees(n, max_degree)
+                    if _kind(n, tree) == "edge"] == expected
 
     @pytest.mark.parametrize("molecular, n_max", [(False, 12), (True, 14)])
     def test_attainer_sets_match_graph_level_brute_force(self, molecular,

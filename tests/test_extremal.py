@@ -81,6 +81,11 @@ class TestFamilyMembership:
                 assert is_in_family(build_family_member(sig.residue, n),
                                     sig.residue)
 
+    @pytest.mark.parametrize("residue", [4, -1])
+    def test_rejects_a_residue_out_of_range(self, residue):
+        with pytest.raises(ValueError, match="^residue must be 0, 1, 2 or 3$"):
+            is_in_family(build_family_member(1, 9), residue)
+
     def test_path_is_not_in_family_one(self):
         assert not is_in_family(build_path(9), 1)
 

@@ -29,6 +29,11 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(0, ())
 
+    def test_rejects_adjacency_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="^adjacency length does not "
+                                             "match vertex count$"):
+            Graph(2, ((),))
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(2, ((0, 1), (0,)))
@@ -279,6 +284,13 @@ class TestEdgeTypeProfile:
             EdgeTypeProfile(m={(1, 2): 1}, degree_counts={1: 1, 2: 1}, n=2)
         with pytest.raises(ValueError, match="normalized"):
             EdgeTypeProfile(m={(2, 1): 1}, degree_counts={1: 1, 2: 1}, n=2)
+        with pytest.raises(ValueError, match="^negative count or degree"):
+            EdgeTypeProfile(m={(1, 1): -1}, degree_counts={1: 2}, n=2)
+        with pytest.raises(ValueError, match="^negative degree count$"):
+            EdgeTypeProfile(m={(1, 1): 1}, degree_counts={1: 3, 2: -1}, n=2)
+        with pytest.raises(ValueError, match="^degree counts do not sum to "
+                                             "vertex count$"):
+            EdgeTypeProfile(m={(1, 1): 1}, degree_counts={1: 2}, n=3)
 
 
 class TestEdgeListFormat:
@@ -311,9 +323,26 @@ class TestEdgeListFormat:
             parse_edge_list("3 2\n0 1\n2 2\n")
         with pytest.raises(ValueError, match="line 4: repeated edge 1-0"):
             parse_edge_list("3 3\n0 1\n1 2\n1 0\n")
+        with pytest.raises(ValueError, match='^line 3: expected "u v"$'):
+            parse_edge_list("3 2\n0 1\n1 2 0\n")
         # blank lines count: the number is the line's place in the text
         with pytest.raises(ValueError, match="line 4: edge 1-5 out of range"):
             parse_edge_list("3 2\n\n0 1\n1 5\n")
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\u2028"])
+    def test_lines_end_at_newline_only(self, separator):
+        # a form feed or a line separator is blank space, not a line end,
+        # so the numbers agree with the file's "\n" count
+        with pytest.raises(ValueError,
+                           match="^line 4: vertex ids must be integers$"):
+            parse_edge_list(f"3 2\n0 1\n{separator}\n1 x\n")
+        assert parse_edge_list(f"3 2\n0 1{separator}\n1 2\n") == path(3)
+
+    def test_crlf_line_ends(self):
+        assert parse_edge_list("3 2\r\n0 1\r\n\r\n1 2\r\n") == path(3)
+        with pytest.raises(ValueError,
+                           match="^line 4: vertex ids must be integers$"):
+            parse_edge_list("3 2\r\n0 1\r\n\r\n1 x\r\n")
 
     @pytest.mark.parametrize("text, message", [
         ("3 -1\n", "line 1: edge count must not be negative"),

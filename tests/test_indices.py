@@ -223,6 +223,11 @@ class TestUpperBound:
         with pytest.raises(ValueError):
             so2_upper_bound(3, 3, 2)
 
+    def test_rejects_negative_edge_count(self):
+        with pytest.raises(ValueError, match="^edge count must be "
+                                             "nonnegative$"):
+            so2_upper_bound(-1, 1, 2)
+
     def test_arbitrary_degrees_leave_the_kernel_memo_alone(self):
         memo = KERNELS["so2"]._memo
         before = memo.cache_info().currsize

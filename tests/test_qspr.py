@@ -84,6 +84,14 @@ class TestOctaneRegressions:
         assert abs(fit.intercept - intercept) < 5e-3
         assert abs(math.sqrt(fit.r_squared) - correlation) < 5e-3
 
+    def test_index_as_target(self, octanes):
+        # a target that names an index is computed, not read
+        fit, points = fit_property(octanes, "so2", "m1")
+        assert [(name, y) for name, _, y in points] == [
+            (r.name, index_value(r.graph(), "m1")) for r in octanes]
+        assert fit.r_squared == correlation_grid(octanes, ["so2"],
+                                                 ["m1"])[("so2", "m1")]
+
     def test_missing_property_reported(self, octanes):
         with pytest.raises(ValueError, match="lacks property"):
             fit_property(octanes, "so2", "BoilingPoint")
