@@ -12,10 +12,13 @@ order // 2 and its child tuple, built bottom up.  A tree is one form,
 the tuple of vertex 0's branches: the multiset of branches below the
 centroid, or, for an unordered pair of half-size branches across the
 centroid edge, the first half's children followed by the second half.
-Each isomorphism class is produced exactly once, with no post-hoc
-isomorphism filtering.  ``canonical_shape`` computes the same shape
-for any labelled tree, so it is the one canonical form of a tree:
-canonical SMILES (``chem.alkane_to_smiles``) are written from it.
+Trees (and branches) are generated by extending a shared prefix: each
+branch is appended once to the prefix that all its extensions share,
+and the trailing leaves are added in one step.  Each isomorphism class
+is produced exactly once, with no post-hoc isomorphism filtering.
+``canonical_shape`` computes the same shape for any labelled tree, so
+it is the one canonical form of a tree: canonical SMILES
+(``chem.alkane_to_smiles``) are written from it.
 
 A maximum-degree cap is applied while generating (branch nodes get at
 most cap-1 children, the centroid at most cap), so restricting to
@@ -124,7 +127,7 @@ def _tables(max_children: Optional[int], order: int
     for size in range(2, order // 2 + 1):
         # size - 1 nodes below the root make at most size - 1 children
         cap = size - 1 if max_children is None else max_children
-        kids = tuple(_multisets(size - 1, size - 1, cap, branches, None))
+        kids = tuple(_multisets((), size - 1, size - 1, cap, branches, None))
         out = []
         for parts in kids:
             degree = len(parts) + 1
@@ -139,25 +142,28 @@ def _tables(max_children: Optional[int], order: int
     return tuple(branches), tuple(children)
 
 
-def _multisets(total: int, max_size: int, max_parts: int,
-               branches: Sequence[tuple[_Branch, ...]],
+def _multisets(prefix: tuple[_Branch, ...], total: int, max_size: int,
+               max_parts: int, branches: Sequence[tuple[_Branch, ...]],
                bound: Optional[_Branch]) -> Iterator[tuple[_Branch, ...]]:
-    """Multisets of at most `max_parts` of the `branches` with the given
-    total size, emitted as tuples sorted decreasingly by (size, shape);
-    `bound` caps the first element."""
-    if total == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    for s in range(min(max_size, total), 0, -1):
+    """`prefix` followed by each multiset of at most `max_parts` of the
+    `branches` with the given total size, sorted decreasingly by (size,
+    shape); `bound` caps the first part.  Each part is appended once to
+    the prefix all its extensions share, and the trailing leaves in one
+    step."""
+    for s in range(min(max_size, total), 1, -1):
         for branch in branches[s]:
             if (bound is not None and s == max_size
                     and branch.shape > bound.shape):
                 continue
-            for rest in _multisets(total - s, s, max_parts - 1, branches,
-                                   branch):
-                yield (branch,) + rest
+            if s == total:
+                yield prefix + (branch,)
+            elif max_parts > 1:
+                yield from _multisets(prefix + (branch,), total - s, s,
+                                      max_parts - 1, branches, branch)
+    # only leaves can follow; at n = 2 the root takes no part smaller
+    # than n/2 (max_size 0), and at n = 1 none at all
+    if total <= max_parts and (max_size > 0 or total == 0):
+        yield prefix + branches[1] * total
 
 
 def _trees(n: int, max_degree: Optional[int]) -> Iterator[_Tree]:
@@ -167,7 +173,7 @@ def _trees(n: int, max_degree: Optional[int]) -> Iterator[_Tree]:
     branches, children = _tables(
         None if max_degree is None else max_degree - 1, n)
     # unique-centroid trees: all branches strictly smaller than n/2
-    yield from _multisets(n - 1, (n - 1) // 2, root_cap, branches, None)
+    yield from _multisets((), n - 1, (n - 1) // 2, root_cap, branches, None)
     # centroid-edge trees: unordered pairs of half-size branches, the
     # first one's root as vertex 0
     if n % 2 == 0:
@@ -309,28 +315,6 @@ def count_trees(n: int, *, molecular: bool = False) -> int:
     return sum(1 for _ in _trees(n, max_degree))
 
 
-class _Extreme:
-    """Running extreme of scaled so2 values, with every attaining tree in
-    stream order."""
-
-    def __init__(self, sign: int) -> None:
-        self.sign = sign  # +1 tracks the maximum, -1 the minimum
-        self.best: Optional[int] = None
-        self.trees: list[_Tree] = []
-
-    def offer(self, value: int, tree: _Tree) -> None:
-        if self.best is None or (value - self.best) * self.sign > 0:
-            self.best = value
-            self.trees = [tree]
-        elif value == self.best:
-            self.trees.append(tree)
-
-    def result(self, n: int, scale: int) -> tuple[Fraction, list[Graph]]:
-        assert self.best is not None
-        return (Fraction(self.best, scale),
-                [_graph(n, tree) for tree in self.trees])
-
-
 class So2Extremes(NamedTuple):
     """Exact so2 extremes over the trees of one order, each with every
     attaining tree in stream order."""
@@ -346,15 +330,30 @@ def so2_extremes(n: int, *, molecular: bool = False) -> So2Extremes:
     molecular ones (degree <= 4), all from a single pass."""
     _check_n(n)
     max_degree = MOLECULAR_MAX_DEGREE if molecular else None
-    low, high, high_molecular = _Extreme(-1), _Extreme(+1), _Extreme(+1)
+    # running extremes of the scaled values (all >= 0) and their
+    # attainers in stream order
+    low, high, high_molecular = math.inf, -1, -1
+    lows, highs, highs_molecular = [], [], []
     for value, top, tree in _scored_trees(n, max_degree):
-        low.offer(value, tree)
-        high.offer(value, tree)
-        if top <= MOLECULAR_MAX_DEGREE:
-            high_molecular.offer(value, tree)
+        if value <= low:
+            if value < low:
+                low, lows = value, []
+            lows.append(tree)
+        if value >= high:
+            if value > high:
+                high, highs = value, []
+            highs.append(tree)
+        if value >= high_molecular and top <= MOLECULAR_MAX_DEGREE:
+            if value > high_molecular:
+                high_molecular, highs_molecular = value, []
+            highs_molecular.append(tree)
     scale, _ = _edge_terms(n, max_degree)
-    return So2Extremes(low.result(n, scale), high.result(n, scale),
-                       high_molecular.result(n, scale))
+
+    def result(best: int, trees: list[_Tree]) -> tuple[Fraction, list[Graph]]:
+        return Fraction(best, scale), [_graph(n, tree) for tree in trees]
+
+    return So2Extremes(result(low, lows), result(high, highs),
+                       result(high_molecular, highs_molecular))
 
 
 def argmax_so2(n: int, *,

@@ -233,6 +233,15 @@ def decode_utf8(data: bytes, start: int = 0) -> str:
                          f"({exc.reason})") from None
 
 
+def _line_error(idx: int, line: str, problem: str) -> ValueError:
+    """`problem` at line `idx`; a carriage return left inside the line
+    means the file ends its lines with bare CRs, so that is named too."""
+    if "\r" in line:
+        problem += (' (lines end at "\\n"; this line holds a bare carriage '
+                    'return)')
+    return ValueError(f"line {idx}: {problem}")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain-text edge-list format: first line "n m", then m
     lines "u v" with 0-based vertex ids.  Blank lines are skipped; errors
@@ -242,29 +251,34 @@ def parse_edge_list(text: str) -> Graph:
              if raw.strip()]
     if not lines:
         raise ValueError("empty edge-list input")
-    head_line, head = lines[0][0], lines[0][1].split()
+    head_line, head_text = lines[0]
+    head = head_text.split()
     if len(head) != 2:
-        raise ValueError(f'line {head_line}: header must be "n m"')
+        raise _line_error(head_line, head_text, 'header must be "n m"')
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise ValueError(f'line {head_line}: header must contain two '
-                         f'integers "n m"') from None
+        raise _line_error(head_line, head_text,
+                          'header must contain two integers "n m"') from None
     if n < 1:
         raise ValueError(f"line {head_line}: vertex count must be positive")
     if m < 0:
         raise ValueError(f"line {head_line}: edge count must not be negative")
     if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
+        problem = f"expected {m} edge lines, found {len(lines) - 1}"
+        for idx, ln in lines:
+            if "\r" in ln:  # bare CRs joined some lines
+                raise _line_error(idx, ln, problem)
+        raise ValueError(problem)
     edges: set[tuple[int, int]] = set()
     for idx, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise ValueError(f'line {idx}: expected "u v"')
+            raise _line_error(idx, ln, 'expected "u v"')
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValueError(f"line {idx}: vertex ids must be integers") from None
+            raise _line_error(idx, ln, "vertex ids must be integers") from None
         key = (min(u, v), max(u, v))
         problem = _edge_problem(n, u, v) or (
             f"repeated edge {u}-{v}" if key in edges else "")

@@ -24,8 +24,10 @@ ENUMERATE_10_GOLDENS = {
                        / "enumerate_n10_molecular_edgelist.txt"),
 }
 
-# sha256 of stdout at n = 16, past the n = 10 goldens: many centroid-edge
-# trees, whose order and labels the generator must keep
+# sha256 of stdout past the n = 10 goldens: at n = 16 many centroid-edge
+# trees, whose order and labels the generator must keep; at n = 14, 16
+# and 17 several maximizers, whose order the so2 scan must keep; and the
+# check of the paper's bounds up to the default cap
 PINNED_OUTPUTS = {
     ("enumerate", "--n", "16", "--emit", "edgelist"):
         "a17c80cd288c46f895d54c3b78139ab6038723695ba451b5a49b2669ebfde7d1",
@@ -33,6 +35,14 @@ PINNED_OUTPUTS = {
         "a93ff6517fae9b34bdab0592d224fbe016a1b3f529307d0dbfa9dcb44911a282",
     ("extremal", "--verify-up-to", "16"):
         "8521692150ed922751a18264d7b82c8bbc594602b9f5e2d5bbe73cfc39b8958a",
+    ("extremal", "--n", "14", "--maximizers"):
+        "6362ed4525102fd2386894f5f062bea733b3bae5f7edbf473e6f9bb0d19db0a6",
+    ("extremal", "--n", "16", "--maximizers", "--family"):
+        "0638c78ef9e52370892e29605d81f20c4bdf06a87ec31ee19fa09134af372d99",
+    ("extremal", "--n", "17", "--maximizers", "--family", "--format", "tsv"):
+        "5960236f7b1058bdd51dd8f37328b9ed0aaa3e6b955c381da61525651e2c5f65",
+    ("extremal", "--verify-up-to", "18"):
+        "9b4e22abf50cdf986eb3d15bb06404220ebb83d3f850121fb0b7dc853c92b2e9",
 }
 
 

@@ -291,6 +291,25 @@ class TestShapeLevelSo2:
                 assert (Counter(ahu_canonical(g) for g in attaining)
                         == Counter(forms_by_value[value]))
 
+    @pytest.mark.parametrize("molecular", [False, True])
+    def test_attainers_come_in_stream_order(self, molecular):
+        # each attainer list is the stream filtered by value, in order and
+        # with the stream's labels; n = 14 is the first order with two
+        # maximizers, so the free case checks an order too
+        for n in range(1, 15):
+            stream = (enumerate_molecular_trees(n) if molecular
+                      else enumerate_trees(n))
+            scored = [(so2(g).exact, max(degrees(g)), list(g.edges()))
+                      for g in stream]
+            extremes = so2_extremes(n, molecular=molecular)
+            for (value, attaining), pool in (
+                    (extremes.minimum, scored),
+                    (extremes.maximum, scored),
+                    (extremes.molecular_maximum,
+                     [s for s in scored if s[1] <= 4])):
+                assert [list(g.edges()) for g in attaining] == [
+                    edges for exact, _, edges in pool if exact == value]
+
     def test_single_pass_extremes_match_the_searches(self):
         def edge_lists(result):
             return result[0], [list(g.edges()) for g in result[1]]

@@ -345,6 +345,20 @@ class TestEdgeListFormat:
             parse_edge_list("3 2\r\n0 1\r\n\r\n1 x\r\n")
 
     @pytest.mark.parametrize("text, message", [
+        ("3 2\r0 1\r1 2\r", 'line 1: header must be "n m"'),
+        ("3 2\n0 1\r1 2\n", "line 2: expected 2 edge lines, found 1"),
+        ("3 2\n0 1\n1\rx\n", "line 3: vertex ids must be integers"),
+    ], ids=["header", "edge-count", "edge"])
+    def test_bare_carriage_returns_are_named(self, text, message):
+        # a CR not before "\n" is no line end, so it joins lines; the
+        # message says so
+        with pytest.raises(ValueError) as excinfo:
+            parse_edge_list(text)
+        assert str(excinfo.value) == (
+            f'{message} (lines end at "\\n"; this line holds a bare '
+            f'carriage return)')
+
+    @pytest.mark.parametrize("text, message", [
         ("3 -1\n", "line 1: edge count must not be negative"),
         ("-2 0\n", "line 1: vertex count must be positive"),
         # leading blank lines are skipped, but they count
