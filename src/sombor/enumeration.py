@@ -8,13 +8,17 @@ removal splits it into two halves of exactly n/2 vertices.  Rooted
 subtrees ("branches") are generated as canonical shapes -- nested
 tuples with children sorted in decreasing order -- in one memoised
 table per (child cap, order), holding every branch of each size up to
-order // 2 and its child tuple, built bottom up.  A tree is one form,
-the tuple of vertex 0's branches: the multiset of branches below the
-centroid, or, for an unordered pair of half-size branches across the
-centroid edge, the first half's children followed by the second half.
+order // 2, its children and its shape's rank, built bottom up.  A tree
+is one form, the tuple of vertex 0's branches: the multiset of branches
+below the centroid, or, for an unordered pair of half-size branches
+across the centroid edge, the first half's children followed by the
+second half.
 Trees (and branches) are generated by extending a shared prefix: each
 branch is appended once to the prefix that all its extensions share,
-and the trailing leaves are added in one step.  Each isomorphism class
+and the trailing leaves are added in one step (a single one with the
+part before it, one recursion level early).  Which branches may
+follow a part of the same size is decided by comparing the ranks of
+their shapes, integers sorted once per table.  Each isomorphism class
 is produced exactly once, with no post-hoc isomorphism filtering.
 ``canonical_shape`` computes the same shape for any labelled tree, so
 it is the one canonical form of a tree: canonical SMILES
@@ -29,9 +33,17 @@ so2 is a sum of per-edge terms that depend only on the endpoint degrees,
 so it is evaluated on the shapes themselves.  Each branch carries its
 shape, its max degree and the so2 of its own edges, scaled by L, the lcm
 of the so2 terms' denominators over the degree pairs i + j <= n possible
-at order n, so every edge term is an integer.  A tree's value is then an
-integer sum over vertex 0's branches, each with its edge to vertex 0,
-divided by L once.  ``so2_extremes`` is the one so2
+at order n, so every edge term is an integer.  The generator carries
+three integers with the prefix, each grown once per appended part: the
+sum of the parts' own so2, their root degrees packed as the sum of
+n ** degree (exact, since a root has at most n - 1 parts), and their
+max degree.  The edges to the root depend on its degree, known only
+when the multiset closes, but that is the digit sum of the packed
+degrees; so a tree's value is the carried sum plus W[packed degrees],
+where W is a dict filled on first use of each degree multiset during a
+scan, and the value is divided by L once.  A branch's own so2 is read
+from the same carried sums, its root having one more edge, to its
+parent.  ``so2_extremes`` is the one so2
 scan; ``argmax_so2`` and ``argmin_so2`` are views of it.  Only the trees
 a caller asks for -- the streamed ones, or the attainers of an extreme
 -- are built as ``Graph``s, labelled depth first from vertex 0.  A
@@ -51,8 +63,10 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import MOLECULAR_MAX_DEGREE, Graph, _bfs
@@ -112,89 +126,167 @@ def _edge_terms(order: int, max_degree: Optional[int]
     return scale, tuple(map(tuple, terms))
 
 
+def _degree_counts(code: int, base: int) -> list[int]:
+    """``counts[d]``: how many parts of root degree d the packed degree
+    multiset `code` = sum of base ** degree over the parts holds.  Every
+    count is below `base`, so the packing is exact: a root has at most
+    order - 1 parts, and the base is the order."""
+    counts = []
+    while code:
+        code, count = divmod(code, base)
+        counts.append(count)
+    return counts
+
+
+class _RootTerms(dict):
+    """Packed degree multiset of a root's parts -> L times the so2 of
+    the root's edges to them.  The root's degree is the number of parts,
+    plus `extra` edges to a parent (1 for a branch).  Each value is
+    computed on first use."""
+
+    def __init__(self, base: int, terms: Sequence[Sequence[Optional[int]]],
+                 extra: int = 0) -> None:
+        super().__init__()
+        self.base, self.terms, self.extra = base, terms, extra
+
+    def __missing__(self, code: int) -> int:
+        counts = _degree_counts(code, self.base)
+        row = self.terms[sum(counts) + self.extra]
+        self[code] = value = sum([count * row[degree]
+                                  for degree, count in enumerate(counts)
+                                  if count])
+        return value
+
+
+# a bound no shape rank reaches
+_UNBOUNDED = sys.maxsize
+
+# what `_multisets` yields: the parts' own scaled so2 summed, their root
+# degrees packed as the sum of order ** degree, their max degree (0 for
+# no parts), and the parts
+_Carried = tuple[int, int, int, tuple[_Branch, ...]]
+
+# a branch as `_multisets` appends it: (branch,), its so2, its digit
+# order ** degree, its max degree, and the rank of its shape among the
+# shapes of its size (shapes compare as tuples)
+_Part = tuple[tuple[_Branch], int, int, int, int]
+
+
 @cache
 def _tables(max_children: Optional[int], order: int
             ) -> tuple[tuple[tuple[_Branch, ...], ...],
-                       tuple[tuple[tuple[_Branch, ...], ...], ...]]:
+                       tuple[tuple[_Carried, ...], ...],
+                       tuple[tuple[_Part, ...], ...]]:
     """``branches[s]``: every canonical branch with s nodes, s <= order
     // 2, in which every node has at most `max_children` children (None
-    = unbounded), its so2 scaled for trees on `order` vertices; and
-    ``children[s]``: each of those branches' child tuple, in the same
-    order.  Built bottom up, size s from the multisets of smaller ones."""
+    = unbounded), its so2 scaled for trees on `order` vertices;
+    ``children[s]``: each one's children as `_multisets` yields them,
+    with their carried sums; and ``parts[s]``: each one as a `_Part`.
+    All three in the same order, built bottom up, size s from the
+    multisets of smaller ones."""
     _, terms = _edge_terms(order, None if max_children is None
                            else max_children + 1)
-    branches, children = [(), (_Branch((), 0, 1, 1),)], [(), ((),)]
+    root_terms = _RootTerms(order, terms, 1)
+    leaf = _Branch((), 0, 1, 1)
+    branches, children = [(), (leaf,)], [(), ((0, 0, 0, ()),)]
+    parts = [(), (((leaf,), 0, order, 1, 0),)]
     for size in range(2, order // 2 + 1):
         # size - 1 nodes below the root make at most size - 1 children
         cap = size - 1 if max_children is None else max_children
-        kids = tuple(_multisets((), size - 1, size - 1, cap, branches, None))
+        kids = tuple(_multisets((), 0, 0, 0, size - 1, size - 1, cap,
+                                parts, _UNBOUNDED))
         out = []
-        for parts in kids:
-            degree = len(parts) + 1
-            row = terms[degree]
-            out.append(_Branch(
-                tuple(c.shape for c in parts),
-                sum(c.so2 + row[c.degree] for c in parts),
-                degree,
-                max(degree, *(c.max_degree for c in parts))))
+        for so2, code, top, below in kids:
+            degree = len(below) + 1
+            out.append(_Branch(tuple(c.shape for c in below),
+                               so2 + root_terms[code], degree,
+                               max(degree, top)))
+        rank = {shape: r for r, shape in
+                enumerate(sorted(b.shape for b in out))}
         branches.append(tuple(out))
         children.append(kids)
-    return tuple(branches), tuple(children)
+        parts.append(tuple(((b,), b.so2, order ** b.degree, b.max_degree,
+                            rank[b.shape]) for b in out))
+    return tuple(branches), tuple(children), tuple(parts)
 
 
-def _multisets(prefix: tuple[_Branch, ...], total: int, max_size: int,
-               max_parts: int, branches: Sequence[tuple[_Branch, ...]],
-               bound: Optional[_Branch]) -> Iterator[tuple[_Branch, ...]]:
+def _multisets(prefix: tuple[_Branch, ...], so2: int, code: int, top: int,
+               total: int, max_size: int, max_parts: int,
+               parts: Sequence[tuple[_Part, ...]],
+               bound: int) -> Iterator[_Carried]:
     """`prefix` followed by each multiset of at most `max_parts` of the
-    `branches` with the given total size, sorted decreasingly by (size,
-    shape); `bound` caps the first part.  Each part is appended once to
-    the prefix all its extensions share, and the trailing leaves in one
-    step."""
+    branches in `parts` with the given total size, sorted decreasingly
+    by (size, shape), with its carried sums (see `_Carried`); `so2`,
+    `code` and `top` are the prefix's.  A first part of `max_size` nodes
+    ranks at most `bound`.  Each part is appended once to the prefix all
+    its extensions share, and adds to the sums they share once; the
+    trailing leaves come in one step."""
     for s in range(min(max_size, total), 1, -1):
-        for branch in branches[s]:
-            if (bound is not None and s == max_size
-                    and branch.shape > bound.shape):
-                continue
-            if s == total:
-                yield prefix + (branch,)
-            elif max_parts > 1:
-                yield from _multisets(prefix + (branch,), total - s, s,
-                                      max_parts - 1, branches, branch)
+        limit = bound if s == max_size else _UNBOUNDED
+        if s == total:
+            for one, b_so2, weight, b_top, rank in parts[s]:
+                if rank <= limit:
+                    yield (so2 + b_so2, code + weight,
+                           top if top > b_top else b_top, prefix + one)
+        elif max_parts == 1:
+            continue
+        elif s == total - 1:
+            # only a leaf can follow: add it here, not one level down
+            leaf, _, leaf_weight, _, _ = parts[1][0]
+            for one, b_so2, weight, b_top, rank in parts[s]:
+                if rank <= limit:
+                    yield (so2 + b_so2, code + weight + leaf_weight,
+                           top if top > b_top else b_top,
+                           prefix + one + leaf)
+        else:
+            for one, b_so2, weight, b_top, rank in parts[s]:
+                if rank <= limit:
+                    yield from _multisets(
+                        prefix + one, so2 + b_so2, code + weight,
+                        top if top > b_top else b_top,
+                        total - s, s, max_parts - 1, parts, rank)
     # only leaves can follow; at n = 2 the root takes no part smaller
     # than n/2 (max_size 0), and at n = 1 none at all
     if total <= max_parts and (max_size > 0 or total == 0):
-        yield prefix + branches[1] * total
+        leaf, _, leaf_weight, _, _ = parts[1][0]
+        yield (so2, code + total * leaf_weight, top or min(total, 1),
+               prefix + leaf * total)
 
 
-def _trees(n: int, max_degree: Optional[int]) -> Iterator[_Tree]:
+def _pairs(children: Sequence[_Carried], halves: Sequence[_Part]
+           ) -> Iterator[_Carried]:
+    """The centroid-edge trees: each unordered pair of half-size
+    branches, given by `children` and `halves` in table order, as the
+    first one's children followed by the second one."""
+    for i, (so2, code, top, below) in enumerate(children):
+        for one, b_so2, weight, b_top, _ in halves[i:]:
+            yield (so2 + b_so2, code + weight,
+                   top if top > b_top else b_top, below + one)
+
+
+def _trees(n: int, max_degree: Optional[int]) -> Iterator[_Carried]:
     """Every tree on n vertices with degrees at most `max_degree`, once
-    per isomorphism class, in a fixed order, as vertex 0's branches."""
+    per isomorphism class, in a fixed order, as vertex 0's branches with
+    their carried sums (see `_Carried`)."""
     root_cap = n - 1 if max_degree is None else max_degree
-    branches, children = _tables(
+    _, children, parts = _tables(
         None if max_degree is None else max_degree - 1, n)
     # unique-centroid trees: all branches strictly smaller than n/2
-    yield from _multisets((), n - 1, (n - 1) // 2, root_cap, branches, None)
-    # centroid-edge trees: unordered pairs of half-size branches, the
-    # first one's root as vertex 0
-    if n % 2 == 0:
-        halves = branches[n // 2]
-        for i, below in enumerate(children[n // 2]):
-            for b in halves[i:]:
-                yield (*below, b)
+    trees = _multisets((), 0, 0, 0, n - 1, (n - 1) // 2, root_cap, parts,
+                       _UNBOUNDED)
+    if n % 2:
+        return trees
+    # then the centroid-edge trees, the first half's root as vertex 0
+    return chain(trees, _pairs(children[n // 2], parts[n // 2]))
 
 
 def _scored_trees(n: int, max_degree: Optional[int]
                   ) -> Iterator[tuple[int, int, _Tree]]:
     """(L * so2, max degree, tree) for every tree of `_trees`."""
     _, terms = _edge_terms(n, max_degree)
-    for tree in _trees(n, max_degree):
-        row = terms[len(tree)]
-        value, top = 0, len(tree)
-        for b in tree:
-            value += b.so2 + row[b.degree]
-            if b.max_degree > top:
-                top = b.max_degree
-        yield value, top, tree
+    root_terms = _RootTerms(n, terms)
+    for so2, code, top, tree in _trees(n, max_degree):
+        yield so2 + root_terms[code], max(top, len(tree)), tree
 
 
 @cache
@@ -297,14 +389,15 @@ def _check_n(n: int) -> None:
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """Stream every free tree on n vertices, one per isomorphism class."""
     _check_n(n)
-    return (_graph(n, tree) for tree in _trees(n, None))
+    return (_graph(n, tree) for _, _, _, tree in _trees(n, None))
 
 
 def enumerate_molecular_trees(n: int) -> Iterator[Graph]:
     """Stream every tree on n vertices with maximum degree at most four,
     one per isomorphism class."""
     _check_n(n)
-    return (_graph(n, tree) for tree in _trees(n, MOLECULAR_MAX_DEGREE))
+    return (_graph(n, tree)
+            for _, _, _, tree in _trees(n, MOLECULAR_MAX_DEGREE))
 
 
 def count_trees(n: int, *, molecular: bool = False) -> int:
@@ -330,11 +423,14 @@ def so2_extremes(n: int, *, molecular: bool = False) -> So2Extremes:
     molecular ones (degree <= 4), all from a single pass."""
     _check_n(n)
     max_degree = MOLECULAR_MAX_DEGREE if molecular else None
+    scale, terms = _edge_terms(n, max_degree)
+    root_terms = _RootTerms(n, terms)
     # running extremes of the scaled values (all >= 0) and their
     # attainers in stream order
     low, high, high_molecular = math.inf, -1, -1
     lows, highs, highs_molecular = [], [], []
-    for value, top, tree in _scored_trees(n, max_degree):
+    for so2, code, top, tree in _trees(n, max_degree):
+        value = so2 + root_terms[code]
         if value <= low:
             if value < low:
                 low, lows = value, []
@@ -343,11 +439,11 @@ def so2_extremes(n: int, *, molecular: bool = False) -> So2Extremes:
             if value > high:
                 high, highs = value, []
             highs.append(tree)
-        if value >= high_molecular and top <= MOLECULAR_MAX_DEGREE:
+        if (value >= high_molecular and top <= MOLECULAR_MAX_DEGREE
+                and len(tree) <= MOLECULAR_MAX_DEGREE):
             if value > high_molecular:
                 high_molecular, highs_molecular = value, []
             highs_molecular.append(tree)
-    scale, _ = _edge_terms(n, max_degree)
 
     def result(best: int, trees: list[_Tree]) -> tuple[Fraction, list[Graph]]:
         return Fraction(best, scale), [_graph(n, tree) for tree in trees]

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from sombor.enumeration import (DEFAULT_MAX_N, _edge_terms, _graph,
-                                _scored_trees, _tables, _trees, argmax_so2,
-                                argmin_so2, canonical_shape, count_trees,
+from sombor.enumeration import (DEFAULT_MAX_N, _degree_counts, _edge_terms,
+                                _graph, _RootTerms, _scored_trees, _tables,
+                                _trees, argmax_so2, argmin_so2,
+                                canonical_shape, count_trees,
                                 enumerate_molecular_trees, enumerate_trees,
                                 enumeration_cap, so2_extremes)
 from sombor.graphs import Graph, degrees, is_molecular_tree, is_tree
-from sombor.indices import so2
+from sombor.indices import KERNELS, so2
 
 from helpers import (FREE_TREE_COUNTS, MOLECULAR_TREE_COUNTS, ahu_canonical,
                      count_trees_dp, reference_graph, shuffled_copy)
@@ -106,15 +107,25 @@ def _generated_shape(n, tree):
     return (high, *low)
 
 
+def _resum(n, parts):
+    """The sums the generator carries for `parts`, summed again: their
+    own so2, their root degrees packed as the sum of n ** degree, and
+    their max degree (0 for no parts)."""
+    return (sum(b.so2 for b in parts), sum(n ** b.degree for b in parts),
+            max((b.max_degree for b in parts), default=0))
+
+
 class TestTables:
     @pytest.mark.parametrize("max_children", [None, 3])
     def test_children_rebuild_each_branch(self, max_children):
         for n in range(1, 17):
-            branches, children = _tables(max_children, n)
+            branches, children, _ = _tables(max_children, n)
             assert len(branches) == len(children) == max(n // 2, 1) + 1
             for s in range(1, len(branches)):
                 assert len(children[s]) == len(branches[s]) > 0
-                for branch, kids in zip(branches[s], children[s]):
+                for branch, (so2, code, top, kids) in zip(branches[s],
+                                                          children[s]):
+                    assert (so2, code, top) == _resum(n, kids)
                     assert branch.shape == tuple(c.shape for c in kids)
                     assert _size(branch.shape) == s
                     assert branch.degree == len(kids) + 1
@@ -125,7 +136,7 @@ class TestCanonicalShape:
         rng = random.Random(5)
         kinds = Counter()
         for n in range(1, 15):
-            for tree in _trees(n, None):
+            for *_, tree in _trees(n, None):
                 g = _graph(n, tree)
                 expected = _generated_shape(n, tree)
                 assert canonical_shape(g) == expected
@@ -157,7 +168,7 @@ class TestLabelling:
     def _check(self, orders):
         kinds = Counter()
         for n, max_degree in orders:
-            for tree in _trees(n, max_degree):
+            for *_, tree in _trees(n, max_degree):
                 g = _graph(n, tree)
                 assert g == reference_graph(n, tree)
                 # the edge text filled in from the memoised branch texts
@@ -264,7 +275,7 @@ class TestShapeLevelSo2:
         # vertex 0's branches (one half's children, then the other half)
         # sum to the two halves' own so2 plus the edge between them
         for n in range(2, 17, 2):
-            branches, _ = _tables(None if max_degree is None
+            branches, _, _ = _tables(None if max_degree is None
                                   else max_degree - 1, n)
             _, terms = _edge_terms(n, max_degree)
             halves = branches[n // 2]
@@ -320,3 +331,77 @@ class TestShapeLevelSo2:
             assert edge_lists(extremes.maximum) == edge_lists(argmax_so2(n))
             assert (edge_lists(extremes.molecular_maximum)
                     == edge_lists(argmax_so2(n, molecular=True)))
+
+
+class TestCarriedSums:
+    """`_trees` carries each tree's sums with the prefix it extends; a
+    re-summation over the tree's parts, and the per-tree scan the carried
+    sums replace, are the oracles."""
+
+    @pytest.mark.parametrize("max_degree", [None, 3, 4, 5])
+    def test_carried_sums_equal_a_resummation(self, max_degree):
+        for n in range(1, 15):
+            count = 0
+            for so2, code, top, tree in _trees(n, max_degree):
+                assert (so2, code, top) == _resum(n, tree)
+                count += 1
+            assert count == count_trees_dp(n, max_degree)
+
+    @staticmethod
+    def _reference_extremes(n, molecular):
+        """`so2_extremes` by summing each tree over its branches, each
+        with its edge to vertex 0, then filtering the stream by value."""
+        max_degree = 4 if molecular else None
+        scale, terms = _edge_terms(n, max_degree)
+        scored = []
+        for *_, tree in _trees(n, max_degree):
+            row = terms[len(tree)]
+            scored.append((sum(b.so2 + row[b.degree] for b in tree),
+                           max([len(tree)] + [b.max_degree for b in tree]),
+                           tree))
+        result = []
+        for pool, pick in ((scored, min), (scored, max),
+                           ([s for s in scored if s[1] <= 4], max)):
+            best = pick(value for value, _, _ in pool)
+            result.append((Fraction(best, scale),
+                           [list(_graph(n, tree).edges())
+                            for value, _, tree in pool if value == best]))
+        return result
+
+    @pytest.mark.parametrize("molecular, n_max", [(False, 16), (True, 17)])
+    def test_scan_equals_the_per_tree_loop(self, molecular, n_max):
+        for n in range(1, n_max + 1):
+            extremes = so2_extremes(n, molecular=molecular)
+            assert [(value, [list(g.edges()) for g in attaining])
+                    for value, attaining in extremes] == (
+                self._reference_extremes(n, molecular))
+
+    def test_packed_degrees_decode_exactly_at_large_order(self):
+        # a raised SOMBOR_MAX_N: at n = 40 a root has up to 39 parts, so
+        # every count is a base-40 digit, up to 39 in the top one
+        base = 40
+        rng = random.Random(16)
+        cases = [{39: 39}, {1: 39}, {1: 30, 2: 5, 3: 3, 39: 1},
+                 {d: 1 for d in range(1, 40)}]
+        for _ in range(300):
+            cases.append(Counter(rng.randint(1, base - 1)
+                                 for _ in range(rng.randint(1, base - 1))))
+        # row k, column d of these terms tell the root degree k and the
+        # part degree d apart
+        terms = [[1000 * k + d for d in range(base)]
+                 for k in range(base + 1)]
+        codes = set()
+        for counts in cases:
+            code = sum(c * base ** d for d, c in counts.items())
+            decoded = _degree_counts(code, base)
+            assert {d: c for d, c in enumerate(decoded) if c} == dict(counts)
+            codes.add(code)
+            k = sum(counts.values())
+            for extra in (0, 1):
+                assert _RootTerms(base, terms, extra)[code] == sum(
+                    c * (1000 * (k + extra) + d) for d, c in counts.items())
+        assert len(codes) == len({frozenset(c.items()) for c in cases})
+        # the star on 40 vertices: 39 leaves at root degree 39
+        scale, real = _edge_terms(base, None)
+        assert Fraction(_RootTerms(base, real)[39 * base], scale) == (
+            39 * KERNELS["so2"](39, 1))
