@@ -4,15 +4,15 @@ exact so2 extremes evaluated on their canonical shapes.
 Canonical construction via centroid decomposition: a free tree either
 has a unique centroid vertex (every component of T - c has at most
 floor((n-1)/2) vertices) or, for even n, a unique centroid edge whose
-removal splits it into two halves of exactly n/2 vertices.  Rooted
-subtrees ("branches") are generated as canonical shapes -- nested
-tuples with children sorted in decreasing order -- in one memoised
-table per (child cap, order), holding every branch of each size up to
-order // 2, its children and its shape's rank, built bottom up.  A tree
-is one form, the tuple of vertex 0's branches: the multiset of branches
-below the centroid, or, for an unordered pair of half-size branches
-across the centroid edge, the first half's children followed by the
-second half.
+removal splits it into two halves of exactly n/2 vertices.  A rooted
+subtree ("branch") is its canonical shape: the nested tuple of its
+children's shapes, sorted in decreasing order.  One memoised table per
+(child cap, order) lists every branch of each size up to order // 2,
+built bottom up, with its shape's rank among the shapes of its size.
+A tree is one form, the tuple of the shapes of vertex 0's branches:
+the multiset of branches below the centroid, or, for an unordered pair
+of half-size branches across the centroid edge, the first half's
+children followed by the second half.
 Trees (and branches) are generated by extending a shared prefix: each
 branch is appended once to the prefix that all its extensions share,
 and the trailing leaves are added in one step (a single one with the
@@ -30,30 +30,29 @@ molecular trees (degree <= 4) never touches the larger unrestricted
 space.
 
 so2 is a sum of per-edge terms that depend only on the endpoint degrees,
-so it is evaluated on the shapes themselves.  Each branch carries its
-shape, its max degree and the so2 of its own edges, scaled by L, the lcm
-of the so2 terms' denominators over the degree pairs i + j <= n possible
-at order n, so every edge term is an integer.  The generator carries
-three integers with the prefix, each grown once per appended part: the
-sum of the parts' own so2, their root degrees packed as the sum of
-n ** degree (exact, since a root has at most n - 1 parts), and their
-max degree.  The edges to the root depend on its degree, known only
-when the multiset closes, but that is the digit sum of the packed
-degrees; so a tree's value is the carried sum plus W[packed degrees],
-where W is a dict filled on first use of each degree multiset during a
-scan, and the value is divided by L once.  A branch's own so2 is read
-from the same carried sums, its root having one more edge, to its
-parent.  ``so2_extremes`` is the one so2
-scan; ``argmax_so2`` and ``argmin_so2`` are views of it.  Only the trees
-a caller asks for -- the streamed ones, or the attainers of an extreme
--- are built as ``Graph``s, labelled depth first from vertex 0.  A
-branch hung from vertex 0 at a given first label always gets the same
-sorted neighbour rows and the same edges, so those rows and the edges'
-text are memoised per (shape, first label).  A tree's adjacency is
-vertex 0's row followed by its branches' rows, and its edge text,
-which the ``Graph`` keeps for whoever writes it, is vertex 0's edges
-followed by its branches' texts; every ``Graph`` is still validated as
-it is built.  The
+so it is evaluated on the shapes themselves.  The table lists with each
+branch its root degree, its max degree and the so2 of its own edges,
+scaled by L, the lcm of the so2 terms' denominators over the degree
+pairs i + j <= n possible at order n, so every edge term is an integer.
+The generator carries three integers with the prefix, each grown once
+per appended part: the sum of the parts' own so2, their root degrees
+packed as the sum of n ** degree (exact, since a root has at most n - 1
+parts), and their max degree.  The edges to the root depend on its
+degree, known only when the multiset closes, but that is the digit sum
+of the packed degrees; so a tree's value is the carried sum plus
+W[packed degrees], where W is a dict filled on first use of each degree
+multiset during a scan, and the value is divided by L once.  A branch's
+own so2 is read from the same sums over its children, its root having
+one more edge, to its parent.  ``so2_extremes`` is the one so2 scan;
+``argmax_so2`` and ``argmin_so2`` are views of it.  Only the trees a
+caller asks for -- the streamed ones, or the attainers of an extreme --
+are built as ``Graph``s, labelled depth first from vertex 0.  A branch
+hung from vertex 0 at a given first label always gets the same sorted
+neighbour rows and the same edges, so those rows and the edges' text are
+memoised per (shape, first label).  A tree's adjacency is vertex 0's row
+followed by its branches' rows, and its edge text, which the ``Graph``
+keeps for whoever writes it, is vertex 0's edges followed by its
+branches' texts; every ``Graph`` is still validated as it is built.  The
 same generator drives the ``Graph`` streams, the counts and the so2
 scan, so all of them see the same trees in the same order with the same
 vertex labels.
@@ -63,6 +62,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -80,30 +80,22 @@ DEFAULT_MAX_N = 18
 Shape = tuple
 
 
-class _Branch(NamedTuple):
-    """A rooted subtree, seen from a parent it hangs from: its degrees
-    count the edge to that parent, which its ``so2`` leaves out."""
-
-    shape: Shape
-    so2: int  # scaled so2 of the edges inside the branch
-    degree: int  # of the root
-    max_degree: int
-
-
-# a generated tree: the branches of vertex 0 -- the centroid's, or
-# across a centroid edge one half's children followed by the other half
+# a generated tree: the shapes of vertex 0's branches -- the centroid's,
+# or across a centroid edge one half's children followed by the other
+# half
 _Tree = tuple
 
 
 def enumeration_cap() -> int:
-    """Largest n the enumerators accept; SOMBOR_MAX_N overrides the default."""
+    """Largest n the enumerators accept; SOMBOR_MAX_N overrides the
+    default.  It takes an optional sign and ASCII digits only, with
+    surrounding whitespace: no digit separators or non-ASCII digits."""
     raw = os.environ.get("SOMBOR_MAX_N")
     if raw is None:
         return DEFAULT_MAX_N
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"SOMBOR_MAX_N must be an integer, got {raw!r}") from None
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", raw):
+        raise ValueError(f"SOMBOR_MAX_N must be an integer, got {raw!r}")
+    cap = int(raw)
     if cap < 1:
         raise ValueError("SOMBOR_MAX_N must be positive")
     return cap
@@ -163,54 +155,47 @@ _UNBOUNDED = sys.maxsize
 
 # what `_multisets` yields: the parts' own scaled so2 summed, their root
 # degrees packed as the sum of order ** degree, their max degree (0 for
-# no parts), and the parts
-_Carried = tuple[int, int, int, tuple[_Branch, ...]]
+# no parts), and the parts' shapes
+_Carried = tuple[int, int, int, tuple[Shape, ...]]
 
-# a branch as `_multisets` appends it: (branch,), its so2, its digit
-# order ** degree, its max degree, and the rank of its shape among the
+# a branch as `_multisets` appends it: (shape,), the scaled so2 of its
+# own edges, its digit order ** degree and its max degree (its degrees
+# count the edge to its parent), and the rank of its shape among the
 # shapes of its size (shapes compare as tuples)
-_Part = tuple[tuple[_Branch], int, int, int, int]
+_Part = tuple[tuple[Shape], int, int, int, int]
 
 
 @cache
 def _tables(max_children: Optional[int], order: int
-            ) -> tuple[tuple[tuple[_Branch, ...], ...],
-                       tuple[tuple[_Carried, ...], ...],
+            ) -> tuple[tuple[tuple[_Carried, ...], ...],
                        tuple[tuple[_Part, ...], ...]]:
-    """``branches[s]``: every canonical branch with s nodes, s <= order
+    """``children[s]``: every canonical branch with s nodes, s <= order
     // 2, in which every node has at most `max_children` children (None
-    = unbounded), its so2 scaled for trees on `order` vertices;
-    ``children[s]``: each one's children as `_multisets` yields them,
-    with their carried sums; and ``parts[s]``: each one as a `_Part`.
-    All three in the same order, built bottom up, size s from the
-    multisets of smaller ones."""
+    = unbounded), as `_multisets` yields its children, whose shapes are
+    the branch's shape; and ``parts[s]``: each one as a `_Part`, its so2
+    scaled for trees on `order` vertices.  Both in the same order, built
+    bottom up, size s from the multisets of smaller ones."""
     _, terms = _edge_terms(order, None if max_children is None
                            else max_children + 1)
     root_terms = _RootTerms(order, terms, 1)
-    leaf = _Branch((), 0, 1, 1)
-    branches, children = [(), (leaf,)], [(), ((0, 0, 0, ()),)]
-    parts = [(), (((leaf,), 0, order, 1, 0),)]
+    children = [(), ((0, 0, 0, ()),)]
+    parts = [(), ((((),), 0, order, 1, 0),)]
     for size in range(2, order // 2 + 1):
         # size - 1 nodes below the root make at most size - 1 children
         cap = size - 1 if max_children is None else max_children
         kids = tuple(_multisets((), 0, 0, 0, size - 1, size - 1, cap,
                                 parts, _UNBOUNDED))
-        out = []
-        for so2, code, top, below in kids:
-            degree = len(below) + 1
-            out.append(_Branch(tuple(c.shape for c in below),
-                               so2 + root_terms[code], degree,
-                               max(degree, top)))
         rank = {shape: r for r, shape in
-                enumerate(sorted(b.shape for b in out))}
-        branches.append(tuple(out))
+                enumerate(sorted(shape for *_, shape in kids))}
         children.append(kids)
-        parts.append(tuple(((b,), b.so2, order ** b.degree, b.max_degree,
-                            rank[b.shape]) for b in out))
-    return tuple(branches), tuple(children), tuple(parts)
+        parts.append(tuple(((shape,), so2 + root_terms[code],
+                            order ** (len(shape) + 1),
+                            max(len(shape) + 1, top), rank[shape])
+                           for so2, code, top, shape in kids))
+    return tuple(children), tuple(parts)
 
 
-def _multisets(prefix: tuple[_Branch, ...], so2: int, code: int, top: int,
+def _multisets(prefix: tuple[Shape, ...], so2: int, code: int, top: int,
                total: int, max_size: int, max_parts: int,
                parts: Sequence[tuple[_Part, ...]],
                bound: int) -> Iterator[_Carried]:
@@ -266,10 +251,10 @@ def _pairs(children: Sequence[_Carried], halves: Sequence[_Part]
 
 def _trees(n: int, max_degree: Optional[int]) -> Iterator[_Carried]:
     """Every tree on n vertices with degrees at most `max_degree`, once
-    per isomorphism class, in a fixed order, as vertex 0's branches with
-    their carried sums (see `_Carried`)."""
+    per isomorphism class, in a fixed order, as the shapes of vertex 0's
+    branches with their carried sums (see `_Carried`)."""
     root_cap = n - 1 if max_degree is None else max_degree
-    _, children, parts = _tables(
+    children, parts = _tables(
         None if max_degree is None else max_degree - 1, n)
     # unique-centroid trees: all branches strictly smaller than n/2
     trees = _multisets((), 0, 0, 0, n - 1, (n - 1) // 2, root_cap, parts,
@@ -278,15 +263,6 @@ def _trees(n: int, max_degree: Optional[int]) -> Iterator[_Carried]:
         return trees
     # then the centroid-edge trees, the first half's root as vertex 0
     return chain(trees, _pairs(children[n // 2], parts[n // 2]))
-
-
-def _scored_trees(n: int, max_degree: Optional[int]
-                  ) -> Iterator[tuple[int, int, _Tree]]:
-    """(L * so2, max degree, tree) for every tree of `_trees`."""
-    _, terms = _edge_terms(n, max_degree)
-    root_terms = _RootTerms(n, terms)
-    for so2, code, top, tree in _trees(n, max_degree):
-        yield so2 + root_terms[code], max(top, len(tree)), tree
 
 
 @cache
@@ -328,9 +304,9 @@ def _graph(n: int, tree: _Tree) -> Graph:
     order are vertex 0's, then each branch's in label order, so the
     ``Graph`` gets its edge text from the memoised branch texts too."""
     roots, adjacency, texts = [], [()], []
-    for branch in tree:
+    for shape in tree:
         roots.append(len(adjacency))
-        rows, text = _rows(branch.shape, len(adjacency))
+        rows, text = _rows(shape, len(adjacency))
         adjacency.extend(rows)
         texts.append(text)
     adjacency[0] = roots = tuple(roots)

@@ -37,7 +37,8 @@ class RegressionFit:
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     """Least-squares line through (xs, ys) with the squared correlation.
 
-    Requires at least two points and a non-constant predictor.
+    Requires at least two points, a non-constant predictor and a
+    non-constant response: the correlation is undefined otherwise.
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} xs vs {len(ys)} ys")
@@ -51,10 +52,12 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
         raise ValueError("predictor is constant")
     sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     syy = math.fsum((y - mean_y) ** 2 for y in ys)
+    if syy == 0.0:
+        raise ValueError("response is constant")
     slope = sxy / sxx
-    r_squared = 1.0 if syy == 0.0 else min(sxy * sxy / (sxx * syy), 1.0)
     return RegressionFit(slope=slope, intercept=mean_y - slope * mean_x,
-                         r_squared=r_squared, sample_size=n)
+                         r_squared=min(sxy * sxy / (sxx * syy), 1.0),
+                         sample_size=n)
 
 
 def index_value(g: Graph, name: str) -> float:
@@ -66,6 +69,12 @@ def _target_values(records: Sequence[MoleculeRecord], target: str,
                    graphs: Sequence[Graph]) -> list[float]:
     if target in INDEX_NAMES:
         return [index_value(g, target) for g in graphs]
+    if not any(target in record.properties for record in records):
+        names = dict.fromkeys(name for record in records
+                              for name in record.properties)
+        raise ValueError(f"every molecule lacks property {target!r}; the "
+                         f"dataset's properties are: "
+                         f"{', '.join(names) or 'none'}")
     out = []
     for record in records:
         if target not in record.properties:

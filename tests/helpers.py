@@ -7,8 +7,9 @@ generator; the reference labeller is a plain vertex-by-vertex loop,
 where the library memoises branch rows; the linear-system helper is
 plain Gaussian elimination; the index helper sums each kernel edge by
 edge from its textbook formula, where the library sums over edge-type
-counts.  Agreement between these and the library is therefore
-meaningful.
+counts, and the branch helper does the same on a branch labelled by the
+reference loop, where the library sums over a branch's children.
+Agreement between these and the library is therefore meaningful.
 """
 
 from __future__ import annotations
@@ -156,12 +157,12 @@ def _attach(shape, parent, nbrs):
 
 
 def reference_graph(n: int, tree) -> Graph:
-    """The enumerator's labelling of a generated tree (vertex 0's
-    branches), built vertex by vertex: rooted at vertex 0, numbered
-    depth first."""
+    """The enumerator's labelling of a generated tree (the shapes of
+    vertex 0's branches), built vertex by vertex: rooted at vertex 0,
+    numbered depth first."""
     nbrs = [[]]
-    for branch in tree:
-        _attach(branch.shape, 0, nbrs)
+    for shape in tree:
+        _attach(shape, 0, nbrs)
     return Graph(n, tuple(map(tuple, nbrs)))
 
 
@@ -193,6 +194,22 @@ def index_by_definition(g: Graph, name: str):
     if name in ("so", "r", "sci"):
         return math.fsum(terms)
     return sum(terms, Fraction(0))
+
+
+@lru_cache(maxsize=None)
+def branch_by_definition(shape) -> tuple[Fraction, int, int]:
+    """(so2 of the edges inside the branch, root degree, max degree) of
+    the rooted branch `shape` (a nested tuple of child shapes), hung
+    from a parent: both degrees count the edge to the parent, which the
+    so2 leaves out.  The branch is labelled by the reference loop below
+    a vertex 0 standing for the parent, and so2 summed edge by edge."""
+    nbrs = [[]]
+    _attach(shape, 0, nbrs)
+    deg = [len(row) for row in nbrs]
+    so2 = sum((EDGE_KERNELS["so2"](deg[u], deg[v])
+               for u in range(1, len(nbrs)) for v in nbrs[u] if u < v),
+              Fraction(0))
+    return so2, deg[1], max(deg[1:])
 
 
 # --- independent tree counting (multiset-composition DP) ---

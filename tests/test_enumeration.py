@@ -1,11 +1,12 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from sombor.enumeration import (DEFAULT_MAX_N, _degree_counts, _edge_terms,
-                                _graph, _RootTerms, _scored_trees, _tables,
+                                _graph, _RootTerms, _tables,
                                 _trees, argmax_so2, argmin_so2,
                                 canonical_shape, count_trees,
                                 enumerate_molecular_trees, enumerate_trees,
@@ -13,8 +14,9 @@ from sombor.enumeration import (DEFAULT_MAX_N, _degree_counts, _edge_terms,
 from sombor.graphs import Graph, degrees, is_molecular_tree, is_tree
 from sombor.indices import KERNELS, so2
 
-from helpers import (FREE_TREE_COUNTS, MOLECULAR_TREE_COUNTS, ahu_canonical,
-                     count_trees_dp, reference_graph, shuffled_copy)
+from helpers import (EDGE_KERNELS, FREE_TREE_COUNTS, MOLECULAR_TREE_COUNTS,
+                     ahu_canonical, branch_by_definition, count_trees_dp,
+                     reference_graph, shuffled_copy)
 
 
 class TestCounts:
@@ -94,41 +96,81 @@ def _size(shape):
 def _kind(n, tree):
     """"edge" for a centroid-edge tree -- its last branch of vertex 0 is
     the other half, with n/2 nodes -- else "vertex"."""
-    return "edge" if tree and 2 * _size(tree[-1].shape) == n else "vertex"
+    return "edge" if tree and 2 * _size(tree[-1]) == n else "vertex"
 
 
 def _generated_shape(n, tree):
     """The shape the generator built: the centroid's branches, or for a
     centroid edge the shape rooted at the end with the larger half."""
-    shapes = tuple(branch.shape for branch in tree)
     if _kind(n, tree) == "vertex":
-        return shapes
-    low, high = sorted((shapes[:-1], shapes[-1]))
+        return tree
+    low, high = sorted((tree[:-1], tree[-1]))
     return (high, *low)
 
 
-def _resum(n, parts):
-    """The sums the generator carries for `parts`, summed again: their
-    own so2, their root degrees packed as the sum of n ** degree, and
+@lru_cache(maxsize=None)
+def _branch(shape, scale):
+    """The shape oracle's (so2, root degree, max degree) of a branch,
+    its so2 scaled by `scale`, which makes it an integer at the scale of
+    the tables."""
+    so2, degree, top = branch_by_definition(shape)
+    so2 *= scale
+    assert so2.denominator == 1
+    return so2.numerator, degree, top
+
+
+def _resum(n, scale, parts):
+    """The sums the generator carries for the branch shapes `parts`,
+    summed again from the shape oracle: their own so2 scaled by
+    `scale`, their root degrees packed as the sum of n ** degree, and
     their max degree (0 for no parts)."""
-    return (sum(b.so2 for b in parts), sum(n ** b.degree for b in parts),
-            max((b.max_degree for b in parts), default=0))
+    records = [_branch(shape, scale) for shape in parts]
+    return (sum(so2 for so2, _, _ in records),
+            sum(n ** degree for _, degree, _ in records),
+            max((top for _, _, top in records), default=0))
+
+
+def _table_scale(max_children, n):
+    return _edge_terms(n, None if max_children is None
+                       else max_children + 1)[0]
 
 
 class TestTables:
     @pytest.mark.parametrize("max_children", [None, 3])
     def test_children_rebuild_each_branch(self, max_children):
         for n in range(1, 17):
-            branches, children, _ = _tables(max_children, n)
-            assert len(branches) == len(children) == max(n // 2, 1) + 1
-            for s in range(1, len(branches)):
-                assert len(children[s]) == len(branches[s]) > 0
-                for branch, (so2, code, top, kids) in zip(branches[s],
-                                                          children[s]):
-                    assert (so2, code, top) == _resum(n, kids)
-                    assert branch.shape == tuple(c.shape for c in kids)
-                    assert _size(branch.shape) == s
-                    assert branch.degree == len(kids) + 1
+            scale = _table_scale(max_children, n)
+            children, parts = _tables(max_children, n)
+            assert len(parts) == len(children) == max(n // 2, 1) + 1
+            for s in range(1, len(parts)):
+                assert len(children[s]) == len(parts[s]) > 0
+                for ((shape,), _, weight, _, _), (so2, code, top, kids) in (
+                        zip(parts[s], children[s])):
+                    assert (so2, code, top) == _resum(n, scale, kids)
+                    assert shape == kids
+                    assert _size(shape) == s
+                    _, degree, _ = _branch(shape, scale)
+                    assert weight == n ** degree == n ** (len(kids) + 1)
+
+    @pytest.mark.parametrize("max_children", [None, 3])
+    def test_part_rows_equal_the_shape_oracle(self, max_children):
+        # a part row is (shape,), so2, n ** degree, max degree, rank,
+        # and its shape is the tuple of its children's shapes
+        for n in range(1, 17):
+            scale = _table_scale(max_children, n)
+            children, parts = _tables(max_children, n)
+            for s in range(1, len(parts)):
+                ranked = []
+                for (one, so2, weight, top, rank), (*_, kids) in zip(
+                        parts[s], children[s]):
+                    assert one == (kids,)
+                    b_so2, degree, b_top = _branch(kids, scale)
+                    assert (so2, weight, top) == (b_so2, n ** degree, b_top)
+                    ranked.append((rank, kids))
+                ranks = [rank for rank, _ in ranked]
+                assert sorted(ranks) == list(range(len(ranked)))
+                assert [shape for _, shape in sorted(ranked)] == sorted(
+                    shape for _, shape in ranked)
 
 
 class TestCanonicalShape:
@@ -211,10 +253,21 @@ class TestCap:
         monkeypatch.setenv("SOMBOR_MAX_N", "junk")
         with pytest.raises(ValueError, match="integer"):
             enumeration_cap()
-        monkeypatch.setenv("SOMBOR_MAX_N", "0")
-        with pytest.raises(ValueError, match="^SOMBOR_MAX_N must be "
-                                             "positive$"):
-            enumerate_trees(1)
+        # int() reads the first three as 10, 3 and 3; only an optional
+        # sign and ASCII digits are taken
+        for raw in ("1_0", "\u0663", "\uff13", "0x0a", "1.0", "+-5", ""):
+            monkeypatch.setenv("SOMBOR_MAX_N", raw)
+            with pytest.raises(ValueError, match="^SOMBOR_MAX_N must be an "
+                                                 "integer, got "):
+                enumeration_cap()
+        for raw, cap in ((" 7 ", 7), ("+7", 7), ("\t07\n", 7)):
+            monkeypatch.setenv("SOMBOR_MAX_N", raw)
+            assert enumeration_cap() == cap
+        for raw in ("0", "-3", " -0 "):
+            monkeypatch.setenv("SOMBOR_MAX_N", raw)
+            with pytest.raises(ValueError, match="^SOMBOR_MAX_N must be "
+                                                 "positive$"):
+                enumerate_trees(1)
 
 
 class TestExtremes:
@@ -263,27 +316,34 @@ class TestShapeLevelSo2:
     @pytest.mark.parametrize("max_degree, n_max", [(None, 12), (4, 14)])
     def test_every_tree_value_matches_graph_so2(self, max_degree, n_max):
         for n in range(1, n_max + 1):
-            scale, _ = _edge_terms(n, max_degree)
-            for value, top, tree in _scored_trees(n, max_degree):
+            scale, terms = _edge_terms(n, max_degree)
+            root_terms = _RootTerms(n, terms)
+            for value, code, top, tree in _trees(n, max_degree):
                 g = _graph(n, tree)
-                assert Fraction(value, scale) == so2(g).exact
-                assert top == max(degrees(g))
+                assert Fraction(value + root_terms[code], scale) == (
+                    so2(g).exact)
+                assert max(top, len(tree)) == max(degrees(g))
 
     @pytest.mark.parametrize("max_degree", [None, 4])
     def test_centroid_edge_value_is_both_halves_and_the_bridge(self,
                                                               max_degree):
         # vertex 0's branches (one half's children, then the other half)
         # sum to the two halves' own so2 plus the edge between them
+        bridge = EDGE_KERNELS["so2"]
         for n in range(2, 17, 2):
-            branches, _, _ = _tables(None if max_degree is None
-                                  else max_degree - 1, n)
-            _, terms = _edge_terms(n, max_degree)
-            halves = branches[n // 2]
-            expected = [(a.so2 + b.so2 + terms[a.degree][b.degree],
-                         max(a.max_degree, b.max_degree))
-                        for i, a in enumerate(halves) for b in halves[i:]]
-            assert [(value, top) for value, top, tree
-                    in _scored_trees(n, max_degree)
+            _, parts = _tables(None if max_degree is None
+                               else max_degree - 1, n)
+            scale, terms = _edge_terms(n, max_degree)
+            root_terms = _RootTerms(n, terms)
+            halves = [branch_by_definition(shape)
+                      for (shape,), *_ in parts[n // 2]]
+            expected = [(a_so2 + b_so2 + bridge(a_degree, b_degree),
+                         max(a_top, b_top))
+                        for i, (a_so2, a_degree, a_top) in enumerate(halves)
+                        for b_so2, b_degree, b_top in halves[i:]]
+            assert [(Fraction(value + root_terms[code], scale),
+                     max(top, len(tree)))
+                    for value, code, top, tree in _trees(n, max_degree)
                     if _kind(n, tree) == "edge"] == expected
 
     @pytest.mark.parametrize("molecular, n_max", [(False, 12), (True, 14)])
@@ -341,9 +401,10 @@ class TestCarriedSums:
     @pytest.mark.parametrize("max_degree", [None, 3, 4, 5])
     def test_carried_sums_equal_a_resummation(self, max_degree):
         for n in range(1, 15):
+            scale, _ = _edge_terms(n, max_degree)
             count = 0
             for so2, code, top, tree in _trees(n, max_degree):
-                assert (so2, code, top) == _resum(n, tree)
+                assert (so2, code, top) == _resum(n, scale, tree)
                 count += 1
             assert count == count_trees_dp(n, max_degree)
 
@@ -356,8 +417,10 @@ class TestCarriedSums:
         scored = []
         for *_, tree in _trees(n, max_degree):
             row = terms[len(tree)]
-            scored.append((sum(b.so2 + row[b.degree] for b in tree),
-                           max([len(tree)] + [b.max_degree for b in tree]),
+            records = [_branch(shape, scale) for shape in tree]
+            scored.append((sum(so2 + row[degree]
+                               for so2, degree, _ in records),
+                           max([len(tree)] + [top for *_, top in records]),
                            tree))
         result = []
         for pool, pick in ((scored, min), (scored, max),

@@ -36,6 +36,11 @@ class TestLinearFit:
         with pytest.raises(ValueError, match="constant"):
             linear_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_constant_response(self):
+        # r^2 is the squared correlation, undefined for a constant y
+        with pytest.raises(ValueError, match="^response is constant$"):
+            linear_fit([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+
     def test_residual_orthogonality(self):
         rng = random.Random(19)
         xs = [rng.uniform(0, 10) for _ in range(40)]
@@ -95,6 +100,23 @@ class TestOctaneRegressions:
     def test_missing_property_reported(self, octanes):
         with pytest.raises(ValueError, match="lacks property"):
             fit_property(octanes, "so2", "BoilingPoint")
+
+    def test_property_no_molecule_has_lists_the_datasets(self, octanes):
+        # not one molecule's fault: the message names the columns there are
+        with pytest.raises(ValueError) as info:
+            fit_property(octanes, "so2", "bp")
+        assert str(info.value) == (
+            "every molecule lacks property 'bp'; the dataset's properties "
+            "are: AcenFac, S, SNar, HNar")
+        # a property only some molecules lack names the first of them
+        first, *rest = octanes
+        partial = [chem.MoleculeRecord(name=first.name, smiles=first.smiles,
+                                       properties={}), *rest]
+        with pytest.raises(ValueError, match=f"^molecule {first.name!r} "
+                                             f"lacks property 'S'$"):
+            fit_property(partial, "so2", "S")
+        with pytest.raises(ValueError, match="properties are: none$"):
+            fit_property(partial[:1], "so2", "S")
 
 
 # printed reference correlation magnitudes of so2 with the other indices
