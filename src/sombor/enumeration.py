@@ -7,7 +7,7 @@ floor((n-1)/2) vertices) or, for even n, a unique centroid edge whose
 removal splits it into two halves of exactly n/2 vertices.  A rooted
 subtree ("branch") is its canonical shape: the nested tuple of its
 children's shapes, sorted in decreasing order.  One memoised table per
-(child cap, order) lists every branch of each size up to order // 2,
+(order, degree cap) lists every branch of each size up to order // 2,
 built bottom up, with its shape's rank among the shapes of its size.
 A tree is one form, the tuple of the shapes of vertex 0's branches:
 the multiset of branches below the centroid, or, for an unordered pair
@@ -40,22 +40,23 @@ packed as the sum of n ** degree (exact, since a root has at most n - 1
 parts), and their max degree.  The edges to the root depend on its
 degree, known only when the multiset closes, but that is the digit sum
 of the packed degrees; so a tree's value is the carried sum plus
-W[packed degrees], where W is a dict filled on first use of each degree
-multiset during a scan, and the value is divided by L once.  A branch's
-own so2 is read from the same sums over its children, its root having
-one more edge, to its parent.  ``so2_extremes`` is the one so2 scan;
-``argmax_so2`` and ``argmin_so2`` are views of it.  Only the trees a
-caller asks for -- the streamed ones, or the attainers of an extreme --
-are built as ``Graph``s, labelled depth first from vertex 0.  A branch
-hung from vertex 0 at a given first label always gets the same sorted
-neighbour rows and the same edges, so those rows and the edges' text are
-memoised per (shape, first label).  A tree's adjacency is vertex 0's row
-followed by its branches' rows, and its edge text, which the ``Graph``
-keeps for whoever writes it, is vertex 0's edges followed by its
-branches' texts; every ``Graph`` is still validated as it is built.  The
-same generator drives the ``Graph`` streams, the counts and the so2
-scan, so all of them see the same trees in the same order with the same
-vertex labels.
+W[packed degrees], and the value is divided by L once.  W is a dict
+filled on first use of each degree multiset and kept with the table for
+the order and the cap, so later scans of the same trees reuse it; the
+table holds L too.  A branch's own so2 is read from the same sums over
+its children, its root having one more edge, to its parent.
+``so2_extremes`` is the one so2 scan; ``argmax_so2`` and ``argmin_so2``
+are views of it.  Only the trees a caller asks for -- the streamed ones,
+or the attainers of an extreme -- are built as ``Graph``s, labelled
+depth first from vertex 0.  A branch hung from vertex 0 at a given first
+label always gets the same sorted neighbour rows and the same edges, so
+those rows and the edges' text are memoised per (shape, first label).  A
+tree's adjacency is vertex 0's row followed by its branches' rows, and
+its edge text, which the ``Graph`` keeps for whoever writes it, is
+vertex 0's edges followed by its branches' texts; every ``Graph`` is
+still validated as it is built.  The same generator drives the ``Graph``
+streams, the counts and the so2 scan, so all of them see the same trees
+in the same order with the same vertex labels.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ def enumeration_cap() -> int:
     return cap
 
 
-@cache
 def _edge_terms(order: int, max_degree: Optional[int]
                 ) -> tuple[int, tuple[tuple[Optional[int], ...], ...]]:
     """The scale L of the trees on `order` vertices with degrees at most
@@ -166,33 +166,35 @@ _Part = tuple[tuple[Shape], int, int, int, int]
 
 
 @cache
-def _tables(max_children: Optional[int], order: int
-            ) -> tuple[tuple[tuple[_Carried, ...], ...],
+def _tables(order: int, max_degree: Optional[int]
+            ) -> tuple[int, _RootTerms, tuple[tuple[_Carried, ...], ...],
                        tuple[tuple[_Part, ...], ...]]:
-    """``children[s]``: every canonical branch with s nodes, s <= order
-    // 2, in which every node has at most `max_children` children (None
-    = unbounded), as `_multisets` yields its children, whose shapes are
-    the branch's shape; and ``parts[s]``: each one as a `_Part`, its so2
-    scaled for trees on `order` vertices.  Both in the same order, built
-    bottom up, size s from the multisets of smaller ones."""
-    _, terms = _edge_terms(order, None if max_children is None
-                           else max_children + 1)
-    root_terms = _RootTerms(order, terms, 1)
+    """Everything that depends on the order and the degree cap (None =
+    unbounded) of the trees: their scale L; W, the `_RootTerms` of a
+    tree's root, which every so2 scan of these trees fills and reuses;
+    ``children[s]``, every canonical branch with s nodes, s <= order //
+    2, in which every node has at most `max_degree` - 1 children, as
+    `_multisets` yields its children, whose shapes are the branch's
+    shape; and ``parts[s]``, each one as a `_Part`, its so2 scaled by L.
+    Both in the same order, built bottom up, size s from the multisets
+    of smaller ones."""
+    scale, terms = _edge_terms(order, max_degree)
+    branch_terms = _RootTerms(order, terms, 1)
     children = [(), ((0, 0, 0, ()),)]
     parts = [(), ((((),), 0, order, 1, 0),)]
     for size in range(2, order // 2 + 1):
         # size - 1 nodes below the root make at most size - 1 children
-        cap = size - 1 if max_children is None else max_children
+        cap = size - 1 if max_degree is None else max_degree - 1
         kids = tuple(_multisets((), 0, 0, 0, size - 1, size - 1, cap,
                                 parts, _UNBOUNDED))
         rank = {shape: r for r, shape in
                 enumerate(sorted(shape for *_, shape in kids))}
         children.append(kids)
-        parts.append(tuple(((shape,), so2 + root_terms[code],
+        parts.append(tuple(((shape,), so2 + branch_terms[code],
                             order ** (len(shape) + 1),
                             max(len(shape) + 1, top), rank[shape])
                            for so2, code, top, shape in kids))
-    return tuple(children), tuple(parts)
+    return scale, _RootTerms(order, terms), tuple(children), tuple(parts)
 
 
 def _multisets(prefix: tuple[Shape, ...], so2: int, code: int, top: int,
@@ -254,8 +256,7 @@ def _trees(n: int, max_degree: Optional[int]) -> Iterator[_Carried]:
     per isomorphism class, in a fixed order, as the shapes of vertex 0's
     branches with their carried sums (see `_Carried`)."""
     root_cap = n - 1 if max_degree is None else max_degree
-    children, parts = _tables(
-        None if max_degree is None else max_degree - 1, n)
+    *_, children, parts = _tables(n, max_degree)
     # unique-centroid trees: all branches strictly smaller than n/2
     trees = _multisets((), 0, 0, 0, n - 1, (n - 1) // 2, root_cap, parts,
                        _UNBOUNDED)
@@ -399,8 +400,7 @@ def so2_extremes(n: int, *, molecular: bool = False) -> So2Extremes:
     molecular ones (degree <= 4), all from a single pass."""
     _check_n(n)
     max_degree = MOLECULAR_MAX_DEGREE if molecular else None
-    scale, terms = _edge_terms(n, max_degree)
-    root_terms = _RootTerms(n, terms)
+    scale, root_terms, _, _ = _tables(n, max_degree)
     # running extremes of the scaled values (all >= 0) and their
     # attainers in stream order
     low, high, high_molecular = math.inf, -1, -1

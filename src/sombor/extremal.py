@@ -251,8 +251,11 @@ def so2_via_degree_system(profile: EdgeTypeProfile) -> Fraction:
     This is the residue-free maximum (126n - 30)/170 minus a penalty per
     off-optimal edge: 36/85 per 1-2, 11/85 per 1-3, 63/85 per 2-2, 58/221
     per 2-3, 47/85 per 3-3, 96/425 per 3-4 and 39/85 per 4-4.  Agrees
-    exactly with ``so2_from_profile`` on every molecular-tree profile.
+    exactly with ``so2_from_profile`` on every molecular-tree profile;
+    a profile the system cannot model raises the
+    ``InconsistentProfileError`` that ``solve_degree_system`` raises.
     """
+    solve_degree_system(profile)
     return _so2_eliminated(profile.n, profile.m)
 
 

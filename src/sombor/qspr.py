@@ -39,25 +39,40 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
 
     Requires at least two points, a non-constant predictor and a
     non-constant response: the correlation is undefined otherwise.
+    Data whose sums are not finite (a NaN, an infinity, or values so
+    large that a sum overflows) and a line that overflows raise
+    ``ValueError`` too, so every field of a fit is finite.
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} xs vs {len(ys)} ys")
     n = len(xs)
     if n < 2:
         raise ValueError("need at least two points")
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    sxx = math.fsum((x - mean_x) ** 2 for x in xs)
+    try:
+        mean_x = math.fsum(xs) / n
+        mean_y = math.fsum(ys) / n
+        sxx = math.fsum((x - mean_x) ** 2 for x in xs)
+        sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+        syy = math.fsum((y - mean_y) ** 2 for y in ys)
+    except (OverflowError, ValueError):  # fsum overflows, or meets inf - inf
+        sxx = sxy = syy = math.nan
+    if not all(map(math.isfinite, (sxx, sxy, syy))):
+        raise ValueError("a sum of the data is not finite (a NaN, an "
+                         "infinity or an overflow)")
     if sxx == 0.0:
         raise ValueError("predictor is constant")
-    sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    syy = math.fsum((y - mean_y) ** 2 for y in ys)
     if syy == 0.0:
         raise ValueError("response is constant")
     slope = sxy / sxx
-    return RegressionFit(slope=slope, intercept=mean_y - slope * mean_x,
-                         r_squared=min(sxy * sxy / (sxx * syy), 1.0),
-                         sample_size=n)
+    intercept = mean_y - slope * mean_x
+    if not math.isfinite(intercept):  # so the slope is finite too
+        raise ValueError("the fitted line overflows")
+    # the product of the sums may overflow or underflow where the
+    # quotients do not
+    r_squared = (sxy * sxy / (sxx * syy) if 0.0 < sxx * syy < math.inf
+                 else slope * (sxy / syy))
+    return RegressionFit(slope=slope, intercept=intercept,
+                         r_squared=min(r_squared, 1.0), sample_size=n)
 
 
 def index_value(g: Graph, name: str) -> float:
@@ -84,6 +99,15 @@ def _target_values(records: Sequence[MoleculeRecord], target: str,
     return out
 
 
+def _fit(xs: Sequence[float], ys: Sequence[float], index_name: str,
+         target: str) -> RegressionFit:
+    """`linear_fit`, its errors prefixed with what was fitted."""
+    try:
+        return linear_fit(xs, ys)
+    except ValueError as exc:
+        raise ValueError(f"{index_name} against {target!r}: {exc}") from None
+
+
 def correlation_grid(records: Sequence[MoleculeRecord],
                      index_list: Iterable[str],
                      target_list: Iterable[str]) -> dict[tuple[str, str], float]:
@@ -103,7 +127,8 @@ def correlation_grid(records: Sequence[MoleculeRecord],
     for index_name in index_list:
         xs = index_column(index_name)
         for target, ys in targets:
-            grid[(index_name, target)] = linear_fit(xs, ys).r_squared
+            grid[(index_name, target)] = _fit(xs, ys, index_name,
+                                              target).r_squared
     return grid
 
 
@@ -115,6 +140,6 @@ def fit_property(records: Sequence[MoleculeRecord], index_name: str,
     graphs = [record.graph() for record in records]
     xs = [index_value(g, index_name) for g in graphs]
     ys = _target_values(records, property_name, graphs)
-    fit = linear_fit(xs, ys)
+    fit = _fit(xs, ys, index_name, property_name)
     points = [(record.name, x, y) for record, x, y in zip(records, xs, ys)]
     return fit, points

@@ -322,6 +322,29 @@ class TestFit:
         assert "non-finite value 'nan'" in envelope.warnings[0]
         assert lines_of(capsys) == []
 
+    @pytest.mark.parametrize("smiles, values, message", [
+        # every so2 is 6/5 on a path skeleton
+        (("CCC", "CCCC", "CCCCC"), ("1", "2", "3"),
+         "so2 against 'P': predictor is constant"),
+        (("CCCC", "CC(C)C", "CCCCC"), ("1", "1", "1"),
+         "so2 against 'P': response is constant"),
+        # the squares of the deviations overflow a float
+        (("CCCC", "CC(C)C", "CCCCC"), ("1e308", "-1e308", "1e308"),
+         "so2 against 'P': a sum of the data is not finite (a NaN, an "
+         "infinity or an overflow)"),
+    ], ids=["constant-predictor", "constant-response", "overflow"])
+    def test_unfittable_data_exits_one_naming_the_fit(self, tmp_path, capsys,
+                                                      smiles, values,
+                                                      message):
+        f = tmp_path / "p.csv"
+        f.write_text("name,smiles,P\n" + "".join(
+            f"m{i},{s},{v}\n" for i, (s, v) in enumerate(zip(smiles, values))))
+        envelope = run(["fit", "--dataset", str(f), "--property", "P"])
+        assert envelope.exit_status == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_index_named_property_exits_one(self, tmp_path, capsys):
         # it would otherwise fit so2 against the computed M1 (10, 12, 14)
         f = tmp_path / "m1.csv"

@@ -140,7 +140,8 @@ class TestTables:
     def test_children_rebuild_each_branch(self, max_children):
         for n in range(1, 17):
             scale = _table_scale(max_children, n)
-            children, parts = _tables(max_children, n)
+            *_, children, parts = _tables(
+                n, None if max_children is None else max_children + 1)
             assert len(parts) == len(children) == max(n // 2, 1) + 1
             for s in range(1, len(parts)):
                 assert len(children[s]) == len(parts[s]) > 0
@@ -158,7 +159,8 @@ class TestTables:
         # and its shape is the tuple of its children's shapes
         for n in range(1, 17):
             scale = _table_scale(max_children, n)
-            children, parts = _tables(max_children, n)
+            *_, children, parts = _tables(
+                n, None if max_children is None else max_children + 1)
             for s in range(1, len(parts)):
                 ranked = []
                 for (one, so2, weight, top, rank), (*_, kids) in zip(
@@ -331,8 +333,7 @@ class TestShapeLevelSo2:
         # sum to the two halves' own so2 plus the edge between them
         bridge = EDGE_KERNELS["so2"]
         for n in range(2, 17, 2):
-            _, parts = _tables(None if max_degree is None
-                               else max_degree - 1, n)
+            *_, parts = _tables(n, max_degree)
             scale, terms = _edge_terms(n, max_degree)
             root_terms = _RootTerms(n, terms)
             halves = [branch_by_definition(shape)
@@ -438,6 +439,24 @@ class TestCarriedSums:
             assert [(value, [list(g.edges()) for g in attaining])
                     for value, attaining in extremes] == (
                 self._reference_extremes(n, molecular))
+
+    @pytest.mark.parametrize("molecular", [False, True])
+    def test_scans_share_the_tables_root_terms(self, molecular):
+        # W is kept with the table for its order and cap: a second scan
+        # adds no entry, and every entry is a fresh lookup's value
+        max_degree = 4 if molecular else None
+        for n in range(1, 13):
+            so2_extremes(n, molecular=molecular)
+            scale, root_terms, _, _ = _tables(n, max_degree)
+            filled = dict(root_terms)
+            assert set(filled) == {code for _, code, _, _
+                                   in _trees(n, max_degree)}
+            so2_extremes(n, molecular=molecular)
+            assert root_terms == filled
+            fresh_scale, terms = _edge_terms(n, max_degree)
+            fresh = _RootTerms(n, terms)
+            assert scale == fresh_scale
+            assert all(fresh[code] == value for code, value in filled.items())
 
     def test_packed_degrees_decode_exactly_at_large_order(self):
         # a raised SOMBOR_MAX_N: at n = 40 a root has up to 39 parts, so

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -256,6 +257,18 @@ class TestReducedForm:
         p = edge_type_profile(build_family_member(3, 7))
         assert so2_via_degree_system(p) == Fraction(1924, 425) \
             == so2_from_profile(p)
+
+    @pytest.mark.parametrize("profile", [
+        edge_type_profile(build_star(6)),  # a degree-5 vertex; so2 60/13
+        edge_type_profile(build_path(2)),  # a leaf-leaf edge; so2 0
+        EdgeTypeProfile(m={(2, 2): 4}, degree_counts={2: 4}, n=4),  # C4
+    ], ids=["star6", "path2", "cycle4"])
+    def test_refuses_what_the_system_cannot_model(self, profile):
+        with pytest.raises(InconsistentProfileError) as solver:
+            solve_degree_system(profile)
+        with pytest.raises(InconsistentProfileError,
+                           match=f"^{re.escape(str(solver.value))}$"):
+            so2_via_degree_system(profile)
 
     def test_exact_identity_on_all_molecular_trees(self):
         for n in range(3, 15):

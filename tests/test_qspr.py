@@ -41,6 +41,32 @@ class TestLinearFit:
         with pytest.raises(ValueError, match="^response is constant$"):
             linear_fit([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("xs, ys", [
+        ([1.0, 2.0, 3.0], [1e308, -1e308, 1e308]),  # a square overflows
+        ([1.0, 2.0, 3.0], [1e308, 1e308, 1e308]),  # fsum overflows
+        ([1.0, 2.0, math.nan], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0]),
+    ], ids=["square", "sum", "nan", "inf"])
+    def test_non_finite_sums_raise(self, xs, ys):
+        with pytest.raises(ValueError, match="^a sum of the data is not "
+                                             "finite"):
+            linear_fit(xs, ys)
+
+    def test_slope_overflow_raises(self):
+        # every sum is finite, but the slope is not, and times a zero
+        # mean x it would make a NaN intercept
+        with pytest.raises(ValueError, match="^the fitted line overflows$"):
+            linear_fit([-1e-160, 1e-160], [-1e153, 1e153])
+
+    @pytest.mark.parametrize("scale", [1e80, 1e-160])
+    def test_sums_whose_product_leaves_the_float_range(self, scale):
+        # sxx * syy overflows at 1e80 and underflows at 1e-160, yet r^2
+        # is scale-free
+        xs, ys = [1.0, 2.0, 4.0], [1.0, 3.0, 2.0]
+        fit = linear_fit([scale * x for x in xs], [scale * y for y in ys])
+        assert fit.r_squared == pytest.approx(linear_fit(xs, ys).r_squared,
+                                              rel=1e-4)
+
     def test_residual_orthogonality(self):
         rng = random.Random(19)
         xs = [rng.uniform(0, 10) for _ in range(40)]
@@ -174,6 +200,19 @@ class TestCorrelationGrid:
     def test_unknown_index_rejected(self, octanes):
         with pytest.raises(ValueError, match="unknown index"):
             correlation_grid(octanes, ["zagreb99"], ["AcenFac"])
+
+    def test_fit_errors_name_the_index_and_the_target(self, octanes):
+        # linear_fit's own message stays bare; its callers say what was
+        # fitted
+        records = [chem.MoleculeRecord(name=r.name, smiles=r.smiles,
+                                       properties={**r.properties, "C": 1.0})
+                   for r in octanes]
+        with pytest.raises(ValueError, match="^so2 against 'C': response is "
+                                             "constant$"):
+            correlation_grid(records, ["so2", "m1"], ["AcenFac", "C"])
+        with pytest.raises(ValueError, match="^m1 against 'C': response is "
+                                             "constant$"):
+            fit_property(records, "m1", "C")
 
 
 class TestParsedOnce:
