@@ -14,6 +14,7 @@ from __future__ import annotations
 import codecs
 import csv
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,6 +24,13 @@ from typing import Iterable, Optional, Union
 from .enumeration import Shape, canonical_shape
 from .graphs import MOLECULAR_MAX_DEGREE, Graph, decode_utf8
 from .indices import INDEX_NAMES, so2
+
+
+# a property cell: an optional sign and ASCII digits with an optional
+# point and exponent, or the nan and infinity that ``float`` reads too,
+# which are refused as non-finite
+_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                     r"|nan|inf(?:inity)?)", re.ASCII | re.IGNORECASE)
 
 
 class SmilesError(ValueError):
@@ -192,12 +200,11 @@ def load_dataset(path: Union[str, Path]) -> list[MoleculeRecord]:
             cell = cell.strip()
             if not cell:
                 continue
-            try:
-                value = float(cell)
-            except ValueError:
+            if not _NUMBER.fullmatch(cell):
                 raise DatasetError(
                     f"{path}: row {lineno} ({name}), column {column!r}: "
-                    f"non-numeric value {cell!r}") from None
+                    f"non-numeric value {cell!r}")
+            value = float(cell)
             if not math.isfinite(value):
                 raise DatasetError(
                     f"{path}: row {lineno} ({name}), column {column!r}: "

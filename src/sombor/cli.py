@@ -21,7 +21,7 @@ from .enumeration import (argmax_so2, count_trees, enumerate_molecular_trees,
                           enumerate_trees)
 from .extremal import (build_family_member, molecular_so2_max,
                        tree_so2_bounds, verify_extremal_bounds)
-from .graphs import Graph, decode_utf8, degrees, parse_edge_list
+from .graphs import Graph, ascii_int, decode_utf8, degrees, parse_edge_list
 from .indices import INDEX_NAMES, IndexValue, index_by_name, so2
 from .qspr import fit_property
 
@@ -180,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_compute)
 
     p = sub.add_parser("enumerate", help="stream non-isomorphic trees")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=ascii_int, required=True)
     p.add_argument("--molecular", action="store_true",
                    help="restrict to maximum degree four")
     p.add_argument("--emit", choices=("edgelist", "count"), default="edgelist")
@@ -188,8 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extremal", help="closed-form bounds, extremal "
                                         "families, brute-force verification")
-    p.add_argument("--n", type=int)
-    p.add_argument("--verify-up-to", type=int, dest="verify_up_to")
+    p.add_argument("--n", type=ascii_int)
+    p.add_argument("--verify-up-to", type=ascii_int, dest="verify_up_to")
     p.add_argument("--family", action="store_true",
                    help="emit the canonical extremal family member for "
                         "n mod 4")

@@ -8,6 +8,7 @@ once and the rest of the code can trust them.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -15,6 +16,10 @@ from typing import Iterable, Iterator
 
 # the maximum degree of a molecular tree: the valence of carbon
 MOLECULAR_MAX_DEGREE = 4
+
+# an integer as every input takes it: an optional sign and ASCII digits,
+# with surrounding whitespace
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 # one shared key object per edge type (i, j), so a graph's edge-type
 # counts hold no tuples of their own
@@ -233,6 +238,16 @@ def decode_utf8(data: bytes, start: int = 0) -> str:
                          f"({exc.reason})") from None
 
 
+def ascii_int(text: str) -> int:
+    """`text` as an integer, written as an optional sign and ASCII digits
+    with surrounding whitespace.  ``int`` also reads digit separators
+    ("1_0") and non-ASCII digits; this raises ``ValueError`` on them.
+    Edge lists, the command line and SOMBOR_MAX_N read integers with it."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _line_error(idx: int, line: str, problem: str) -> ValueError:
     """`problem` at line `idx`; a carriage return left inside the line
     means the file ends its lines with bare CRs, so that is named too."""
@@ -256,7 +271,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise _line_error(head_line, head_text, 'header must be "n m"')
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = ascii_int(head[0]), ascii_int(head[1])
     except ValueError:
         raise _line_error(head_line, head_text,
                           'header must contain two integers "n m"') from None
@@ -276,7 +291,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise _line_error(idx, ln, 'expected "u v"')
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = ascii_int(parts[0]), ascii_int(parts[1])
         except ValueError:
             raise _line_error(idx, ln, "vertex ids must be integers") from None
         key = (min(u, v), max(u, v))

@@ -84,7 +84,8 @@ def _target_values(records: Sequence[MoleculeRecord], target: str,
                    graphs: Sequence[Graph]) -> list[float]:
     if target in INDEX_NAMES:
         return [index_value(g, target) for g in graphs]
-    if not any(target in record.properties for record in records):
+    if records and not any(target in record.properties
+                           for record in records):
         names = dict.fromkeys(name for record in records
                               for name in record.properties)
         raise ValueError(f"every molecule lacks property {target!r}; the "

@@ -32,6 +32,10 @@ FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551,
 MOLECULAR_TREE_COUNTS = [1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355,
                          802, 1858, 4347, 10359]
 
+# texts that are no integer at any input boundary, as SOMBOR_MAX_N
+# refuses them: int() alone reads the first three as 10, 3 and 3
+NON_INTEGERS = ("1_0", "\u0663", "\uff13", "0x0a", "1.0", "+-5", "")
+
 
 def ahu_canonical(g: Graph):
     """Canonical form of a tree: rooted at its center (leaf stripping),

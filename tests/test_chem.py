@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,26 @@ class TestDatasetLoading:
         f.write_text("name,smiles,AcenFac\nbutane,CCCC,oops\n")
         with pytest.raises(DatasetError, match=r"row 2.*AcenFac.*oops"):
             load_dataset(f)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663", "0x10", "1e", "."])
+    def test_numbers_are_ascii(self, tmp_path, cell):
+        # float() alone reads the first two as 10.0 and 3.0
+        f = tmp_path / "sep.csv"
+        f.write_text(f"name,smiles,bp\nbutane,CCCC,1.0\npentane,CCCCC,"
+                     f"{cell}\n", encoding="utf-8")
+        with pytest.raises(DatasetError,
+                           match=rf"sep\.csv: row 3 \(pentane\), column "
+                                 rf"'bp': non-numeric value "
+                                 rf"{re.escape(repr(cell))}$"):
+            load_dataset(f)
+
+    def test_number_syntax(self, tmp_path):
+        cells = ["1", "-2.5", "+.5", "3.", "1e3", "-1.5E-2", "07"]
+        f = tmp_path / "ok.csv"
+        f.write_text("name,smiles," + ",".join(f"p{i}" for i in range(7))
+                     + "\nbutane,CCCC," + ",".join(cells) + "\n")
+        [record] = load_dataset(f)
+        assert list(record.properties.values()) == list(map(float, cells))
 
     def test_duplicate_names_rejected(self, tmp_path):
         f = tmp_path / "dup.csv"

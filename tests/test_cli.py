@@ -10,7 +10,7 @@ from sombor.chem import parse_alkane_smiles
 from sombor.cli import OutputEnvelope, run
 from sombor.enumeration import enumerate_molecular_trees, enumerate_trees
 
-from helpers import simple_graphs
+from helpers import NON_INTEGERS, simple_graphs
 
 # stdout of `sombor extremal --verify-up-to 12` from the graph-by-graph
 # verifier that preceded the shape-level scan
@@ -119,6 +119,18 @@ class TestCompute:
         assert envelope.exit_status == 1
         assert captured.out == ""
         assert captured.err == f"error: {f}: {message}\n"
+
+    def test_digit_separators_are_no_integer(self, tmp_path, capsys):
+        # int() alone reads this as the 11-vertex graph with edges 0-10
+        # and 1-2, whose so2 is 0
+        f = tmp_path / "sep.txt"
+        f.write_text("1_1 2\n0 1_0\n1 2\n")
+        envelope = run(["compute", "--index", "so2", "--input", str(f)])
+        captured = capsys.readouterr()
+        assert envelope.exit_status == 1
+        assert captured.out == ""
+        assert captured.err == (f'error: {f}: line 1: header must contain '
+                                f'two integers "n m"\n')
 
     def test_non_utf8_file_names_line_and_byte(self, tmp_path, capsys):
         # a Latin-1 e-acute (one byte, 0xe9) before a space: byte 9 of
@@ -345,6 +357,17 @@ class TestFit:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_header_only_dataset_has_too_few_points(self, tmp_path, capsys):
+        # P is a column; there are just no molecules to fit
+        f = tmp_path / "h.csv"
+        f.write_text("name,smiles,P\n")
+        envelope = run(["fit", "--dataset", str(f), "--property", "P"])
+        captured = capsys.readouterr()
+        assert envelope.exit_status == 1
+        assert captured.out == ""
+        assert captured.err == ("error: so2 against 'P': need at least two "
+                                "points\n")
+
     def test_index_named_property_exits_one(self, tmp_path, capsys):
         # it would otherwise fit so2 against the computed M1 (10, 12, 14)
         f = tmp_path / "m1.csv"
@@ -409,6 +432,17 @@ class TestDispatch:
         envelope = run(["compute", "--index", "so2", "--smiles", "C",
                         "--bogus"])
         assert envelope.exit_status == 2
+
+    @pytest.mark.parametrize("raw", NON_INTEGERS)
+    def test_integer_options_are_a_sign_and_ascii_digits(self, raw, capsys):
+        for argv in (["enumerate", "--n", raw, "--emit", "count"],
+                     ["extremal", "--n", raw],
+                     ["extremal", "--verify-up-to", raw]):
+            envelope = run(argv)
+            captured = capsys.readouterr()
+            assert envelope.exit_status == 2
+            assert captured.out == ""
+            assert f"invalid ascii_int value: {raw!r}" in captured.err
 
     def test_envelope_echoes_command(self, capsys):
         argv = ["enumerate", "--n", "3", "--emit", "count"]

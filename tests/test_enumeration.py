@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 
 from sombor.enumeration import (DEFAULT_MAX_N, _degree_counts, _edge_terms,
-                                _graph, _RootTerms, _tables,
+                                _graph, _molecular, _RootTerms, _tables,
                                 _trees, argmax_so2, argmin_so2,
                                 canonical_shape, count_trees,
                                 enumerate_molecular_trees, enumerate_trees,
@@ -122,12 +122,10 @@ def _branch(shape, scale):
 def _resum(n, scale, parts):
     """The sums the generator carries for the branch shapes `parts`,
     summed again from the shape oracle: their own so2 scaled by
-    `scale`, their root degrees packed as the sum of n ** degree, and
-    their max degree (0 for no parts)."""
+    `scale`, and their root degrees packed as the sum of n ** degree."""
     records = [_branch(shape, scale) for shape in parts]
     return (sum(so2 for so2, _, _ in records),
-            sum(n ** degree for _, degree, _ in records),
-            max((top for _, _, top in records), default=0))
+            sum(n ** degree for _, degree, _ in records))
 
 
 def _table_scale(max_children, n):
@@ -145,9 +143,9 @@ class TestTables:
             assert len(parts) == len(children) == max(n // 2, 1) + 1
             for s in range(1, len(parts)):
                 assert len(children[s]) == len(parts[s]) > 0
-                for ((shape,), _, weight, _, _), (so2, code, top, kids) in (
+                for ((shape,), _, weight, _), (so2, code, kids) in (
                         zip(parts[s], children[s])):
-                    assert (so2, code, top) == _resum(n, scale, kids)
+                    assert (so2, code) == _resum(n, scale, kids)
                     assert shape == kids
                     assert _size(shape) == s
                     _, degree, _ = _branch(shape, scale)
@@ -155,24 +153,37 @@ class TestTables:
 
     @pytest.mark.parametrize("max_children", [None, 3])
     def test_part_rows_equal_the_shape_oracle(self, max_children):
-        # a part row is (shape,), so2, n ** degree, max degree, rank,
-        # and its shape is the tuple of its children's shapes
+        # a part row is (shape,), so2, n ** degree, rank, and its shape
+        # is the tuple of its children's shapes
         for n in range(1, 17):
             scale = _table_scale(max_children, n)
             *_, children, parts = _tables(
                 n, None if max_children is None else max_children + 1)
             for s in range(1, len(parts)):
                 ranked = []
-                for (one, so2, weight, top, rank), (*_, kids) in zip(
+                for (one, so2, weight, rank), (*_, kids) in zip(
                         parts[s], children[s]):
                     assert one == (kids,)
-                    b_so2, degree, b_top = _branch(kids, scale)
-                    assert (so2, weight, top) == (b_so2, n ** degree, b_top)
+                    b_so2, degree, _ = _branch(kids, scale)
+                    assert (so2, weight) == (b_so2, n ** degree)
                     ranked.append((rank, kids))
                 ranks = [rank for rank, _ in ranked]
                 assert sorted(ranks) == list(range(len(ranked)))
                 assert [shape for _, shape in sorted(ranked)] == sorted(
                     shape for _, shape in ranked)
+
+    def test_molecular_equals_the_shape_oracle(self):
+        # a branch is molecular when every node, its root counting the
+        # edge to its parent, has degree <= 4
+        kinds = Counter()
+        for n in range(1, 17):
+            *_, children, _ = _tables(n, None)
+            for kids in children[1:]:
+                for *_, shape in kids:
+                    molecular = _molecular(shape)
+                    assert molecular == (branch_by_definition(shape)[2] <= 4)
+                    kinds[molecular] += 1
+        assert kinds[True] > 0 and kinds[False] > 0
 
 
 class TestCanonicalShape:
@@ -320,11 +331,12 @@ class TestShapeLevelSo2:
         for n in range(1, n_max + 1):
             scale, terms = _edge_terms(n, max_degree)
             root_terms = _RootTerms(n, terms)
-            for value, code, top, tree in _trees(n, max_degree):
+            for value, code, tree in _trees(n, max_degree):
                 g = _graph(n, tree)
                 assert Fraction(value + root_terms[code], scale) == (
                     so2(g).exact)
-                assert max(top, len(tree)) == max(degrees(g))
+                assert (len(tree) <= 4 and all(map(_molecular, tree))) == (
+                    max(degrees(g)) <= 4)
 
     @pytest.mark.parametrize("max_degree", [None, 4])
     def test_centroid_edge_value_is_both_halves_and_the_bridge(self,
@@ -339,12 +351,12 @@ class TestShapeLevelSo2:
             halves = [branch_by_definition(shape)
                       for (shape,), *_ in parts[n // 2]]
             expected = [(a_so2 + b_so2 + bridge(a_degree, b_degree),
-                         max(a_top, b_top))
+                         max(a_top, b_top) <= 4)
                         for i, (a_so2, a_degree, a_top) in enumerate(halves)
                         for b_so2, b_degree, b_top in halves[i:]]
             assert [(Fraction(value + root_terms[code], scale),
-                     max(top, len(tree)))
-                    for value, code, top, tree in _trees(n, max_degree)
+                     len(tree) <= 4 and all(map(_molecular, tree)))
+                    for value, code, tree in _trees(n, max_degree)
                     if _kind(n, tree) == "edge"] == expected
 
     @pytest.mark.parametrize("molecular, n_max", [(False, 12), (True, 14)])
@@ -386,7 +398,7 @@ class TestShapeLevelSo2:
         def edge_lists(result):
             return result[0], [list(g.edges()) for g in result[1]]
 
-        for n in range(1, 14):
+        for n in range(1, 18):
             extremes = so2_extremes(n)
             assert edge_lists(extremes.minimum) == edge_lists(argmin_so2(n))
             assert edge_lists(extremes.maximum) == edge_lists(argmax_so2(n))
@@ -404,8 +416,8 @@ class TestCarriedSums:
         for n in range(1, 15):
             scale, _ = _edge_terms(n, max_degree)
             count = 0
-            for so2, code, top, tree in _trees(n, max_degree):
-                assert (so2, code, top) == _resum(n, scale, tree)
+            for so2, code, tree in _trees(n, max_degree):
+                assert (so2, code) == _resum(n, scale, tree)
                 count += 1
             assert count == count_trees_dp(n, max_degree)
 
@@ -449,7 +461,7 @@ class TestCarriedSums:
             so2_extremes(n, molecular=molecular)
             scale, root_terms, _, _ = _tables(n, max_degree)
             filled = dict(root_terms)
-            assert set(filled) == {code for _, code, _, _
+            assert set(filled) == {code for _, code, _
                                    in _trees(n, max_degree)}
             so2_extremes(n, molecular=molecular)
             assert root_terms == filled

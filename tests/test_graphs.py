@@ -9,7 +9,7 @@ from sombor.graphs import (Graph, EdgeTypeProfile, _adjacency_problem, degrees,
                            format_edge_list, is_molecular_tree, is_tree,
                            parse_edge_list)
 
-from helpers import random_graph, shuffled_copy, simple_graphs
+from helpers import NON_INTEGERS, random_graph, shuffled_copy, simple_graphs
 
 
 def path(n):
@@ -328,6 +328,15 @@ class TestEdgeListFormat:
         # blank lines count: the number is the line's place in the text
         with pytest.raises(ValueError, match="line 4: edge 1-5 out of range"):
             parse_edge_list("3 2\n\n0 1\n1 5\n")
+
+    @pytest.mark.parametrize("raw", NON_INTEGERS)
+    def test_integers_are_a_sign_and_ascii_digits(self, raw):
+        with pytest.raises(ValueError, match="^line 1: header must "):
+            parse_edge_list(f"{raw} 1\n0 1\n")
+        with pytest.raises(ValueError, match='^line 2: (vertex ids must be '
+                                             'integers|expected "u v")$'):
+            parse_edge_list(f"2 1\n0 {raw}\n")
+        assert parse_edge_list(" +2\t1 \n+0 01\n") == path(2)
 
     @pytest.mark.parametrize("separator", ["\x0c", "\u2028"])
     def test_lines_end_at_newline_only(self, separator):
