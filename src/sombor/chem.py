@@ -11,7 +11,6 @@ SMILES are written from the enumerator's canonical shape
 
 from __future__ import annotations
 
-import codecs
 import csv
 import math
 import re
@@ -152,9 +151,8 @@ def load_dataset(path: Union[str, Path]) -> list[MoleculeRecord]:
         data = path.read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
-    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        text = decode_utf8(data, bom)
+        text = decode_utf8(data)
     except ValueError as exc:
         raise DatasetError(f"{path}: {exc}") from None
     # lines end at "\n" only, as decode_utf8 counts them

@@ -22,7 +22,10 @@ their shapes, integers sorted once per table.  Each isomorphism class
 is produced exactly once, with no post-hoc isomorphism filtering.
 ``canonical_shape`` computes the same shape for any labelled tree, so
 it is the one canonical form of a tree: canonical SMILES
-(``chem.alkane_to_smiles``) are written from it.
+(``chem.alkane_to_smiles``) are written from it.  It walks the tree
+once: one BFS from vertex 0 and one bottom-up pass give each vertex its
+branch, then the root descends from vertex 0 to a centroid, rerooting
+each vertex it leaves as a branch of the next.
 
 A maximum-degree cap is applied while generating (branch nodes get at
 most cap-1 children, the centroid at most cap), so restricting to
@@ -314,39 +317,43 @@ def _graph(n: int, tree: _Tree) -> Graph:
     return g
 
 
+def _join(children: list[tuple[int, Shape]]) -> tuple[int, Shape]:
+    """The (size, shape) of a branch over `children`, (size, shape)
+    pairs that this sorts decreasingly in place: the one statement of
+    the child-order rule."""
+    children.sort(reverse=True)
+    return 1 + sum([k for k, _ in children]), tuple([s for _, s in children])
+
+
 def canonical_shape(g: Graph) -> Shape:
     """The generator's shape for the isomorphism class of the tree `g`:
     rooted at the centroid (for a centroid edge, at the end that gives
     the larger shape), children sorted decreasingly by (size, shape).
-    Built bottom up without recursion, though comparing two deep shapes
-    can still exceed the interpreter's recursion limit."""
-    n = g.n
+    One walk: every vertex's (size, shape) is built bottom up from one
+    BFS from vertex 0.  Then the root descends from vertex 0 into the
+    neighbour whose side holds more than n/2 vertices, rerooting each
+    vertex it leaves as a branch of the next, until no side does: that
+    vertex is a centroid, and its neighbours' branches are its
+    children.  Built without recursion, though comparing two deep
+    shapes can still exceed the interpreter's recursion limit."""
+    n, adjacency = g.n, g.adjacency
     order, parent = _bfs(g, 0)
     if len(order) != n or g.edge_count != n - 1:
         raise ValueError("not a tree")
-    size, heaviest = [1] * n, [0] * n  # heaviest: largest child subtree
-    for v in reversed(order[1:]):
-        p = parent[v]
-        size[p] += size[v]
-        heaviest[p] = max(heaviest[p], size[v])
-    centroids = [v for v in range(n) if 2 * max(heaviest[v], n - size[v]) <= n]
-    top = centroids[0]
-    order, parent = _bfs(g, top)
-    shape: list[Shape] = [()] * n
-    size = [1] * n
+    branch = [(1, ())] * n  # a leaf keeps (1, ())
     for v in reversed(order):
-        nbrs = g.adjacency[v]
-        if len(nbrs) == 1 and v != top:
-            continue  # a leaf keeps shape () and size 1
-        p = parent[v]
-        children = [(size[u], shape[u]) for u in nbrs if u != p]
-        if len(children) > 1:
-            children.sort(reverse=True)
-        shape[v] = tuple(s for _, s in children)
-        size[v] += sum(k for k, _ in children)
-    root = shape[top]
-    if len(centroids) == 2:
-        # the other end's half comes first: it has n/2 of the n - 1
+        if len(adjacency[v]) > 1 or v == 0:
+            branch[v] = _join([branch[u] for u in adjacency[v]
+                               if u != parent[v]])
+    v = 0
+    while heavy := [u for u in adjacency[v] if 2 * branch[u][0] > n]:
+        # v, seen from heavy[0]: everything but the heavy side
+        branch[v] = _join([branch[u] for u in adjacency[v] if u != heavy[0]])
+        v = heavy[0]
+    children = [branch[u] for u in adjacency[v]]
+    root = _join(children)[1]
+    if children and 2 * children[0][0] == n:
+        # a centroid edge: the other end's half comes first
         half, rest = root[0], root[1:]
         if rest > half:
             return (rest, *half)

@@ -8,6 +8,7 @@ once and the rest of the code can trust them.
 
 from __future__ import annotations
 
+import codecs
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -225,10 +226,13 @@ def edge_type_profile(g: Graph) -> EdgeTypeProfile:
                            degree_counts=dict(Counter(degrees(g))), n=g.n)
 
 
-def decode_utf8(data: bytes, start: int = 0) -> str:
-    """``data[start:]``, the bytes of a file, decoded as UTF-8.  A
-    decoding error names the line and the byte offset counted from the
-    start of the file; callers prefix the file's name."""
+def decode_utf8(data: bytes) -> str:
+    """`data`, the bytes of a file, decoded as UTF-8, less a leading
+    UTF-8 byte-order mark, as spreadsheet programs and some editors
+    write one.  A decoding error names the line and the byte offset
+    counted from the start of the file, the mark included; callers
+    prefix the file's name."""
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
         return data[start:].decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -8,7 +8,9 @@ Every index in ``KERNELS`` is a sum over i <= j of m_ij * F(i, j), where
 m_ij counts the edges joining degrees i and j (``edge_type_counts``);
 one sum evaluates them all.  Exact kernels (SO2, M1, M2, F, SDD) return
 ``Fraction``s, so ties between trees are exact equalities; the others
-(SO, R, SCI) are ``math.fsum`` floats.  ``index_by_name`` evaluates any
+(SO, R, SCI) are ``math.fsum`` floats.  A kernel whose exact term is
+neither an ``int`` nor a ``Fraction``, or whose float sum is not
+finite, raises ``ValueError`` naming it.  ``index_by_name`` evaluates any
 of ``INDEX_NAMES`` (the kernels, then neighborhood Zagreb).
 
 The m_ij are counted once per ``Graph`` and kept on it, so evaluating
@@ -64,6 +66,10 @@ class VdbKernel:
         if self.exact:
             def ratio(x: int, y: int) -> tuple[int, int]:
                 value = memo(x, y)
+                if not isinstance(value, (int, Fraction)):
+                    raise ValueError(
+                        f"exact kernel {self.name!r}: F({x}, {y}) = "
+                        f"{value!r} is neither an int nor a Fraction")
                 return value.numerator, value.denominator
             object.__setattr__(self, "_ratio", cache(ratio))
 
@@ -96,8 +102,15 @@ def _kernel_sum(m: dict[tuple[int, int], int], kernel: VdbKernel) -> IndexValue:
     for an exact kernel, ``math.fsum`` of the float terms otherwise."""
     if not kernel.exact:
         term = kernel._memo  # the memo itself: no Python-level call per term
-        return IndexValue(approx=math.fsum(
-            count * term(i, j) for (i, j), count in m.items() if count))
+        terms = [count * term(i, j) for (i, j), count in m.items() if count]
+        try:
+            total = math.fsum(terms)
+        except (OverflowError, ValueError):  # an overflow, or inf - inf
+            total = math.nan
+        if not math.isfinite(total):
+            raise ValueError(f"kernel {kernel.name!r}: the sum of its terms "
+                             f"is not finite")
+        return IndexValue(approx=total)
     ratio = kernel._ratio
     # one integer numerator over the running lcm of the denominators
     num, den = 0, 1

@@ -90,6 +90,15 @@ class TestCompute:
         assert envelope.exit_status == 0
         assert lines_of(capsys) == ["6/5 (1.2)"]
 
+    def test_edge_list_with_byte_order_mark(self, tmp_path, capsys):
+        # as editors that write UTF-8 with a mark save it, and as
+        # datasets are accepted
+        f = tmp_path / "bom.txt"
+        f.write_bytes(b"\xef\xbb\xbf3 2\n0 1\n1 2\n")
+        envelope = run(["compute", "--index", "so2", "--input", str(f)])
+        assert envelope.exit_status == 0
+        assert lines_of(capsys) == ["6/5 (1.2)"]
+
     def test_mn_index(self, capsys):
         run(["compute", "--index", "mn", "--smiles", "CCC"])
         assert lines_of(capsys) == ["12 (12.0)"]

@@ -16,7 +16,7 @@ from sombor.indices import KERNELS, so2
 
 from helpers import (EDGE_KERNELS, FREE_TREE_COUNTS, MOLECULAR_TREE_COUNTS,
                      ahu_canonical, branch_by_definition, count_trees_dp,
-                     reference_graph, shuffled_copy)
+                     random_tree, reference_graph, shuffled_copy)
 
 
 class TestCounts:
@@ -199,6 +199,33 @@ class TestCanonicalShape:
                 kinds[_kind(n, tree)] += 1
         assert sum(kinds.values()) == sum(FREE_TREE_COUNTS[:14])
         assert kinds["vertex"] > 0 and kinds["edge"] > 0
+
+    def test_random_trees_past_exhaustive_reach(self):
+        # orders the exhaustive check above does not reach; shuffled, so
+        # vertex 0 is not the attachment root and may lie many steps
+        # from a centroid.  The degree caps give deeper trees
+        rng = random.Random(41)
+        for max_degree in (None, 4, 3):
+            for _ in range(60):
+                n = rng.randint(15, 400)
+                g = shuffled_copy(random_tree(rng, n, max_degree), rng)
+                shape = canonical_shape(g)
+                assert canonical_shape(shuffled_copy(g, rng)) == shape
+                assert ahu_canonical(_graph(n, shape)) == ahu_canonical(g)
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 899, 900])
+    def test_path_labelled_from_one_end(self, n):
+        # the longest descent from vertex 0, n // 2 steps, whose shapes
+        # still compare within the recursion limit.  A path's root has
+        # branches of n // 2 and (n - 1) // 2 vertices: two equal chains
+        # from the centroid, or, across the centroid edge, the other
+        # half and the rest of this one
+        chain = [()]  # chain[k]: the shape of a branch of k + 1 vertices
+        for _ in range(n // 2):
+            chain.append((chain[-1],))
+        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        sizes = (n // 2, (n - 1) // 2)
+        assert canonical_shape(g) == tuple(chain[k - 1] for k in sizes if k)
 
     def test_root_may_be_a_leaf(self):
         # n = 1: the root has no neighbour; n = 2: its one neighbour is

@@ -121,6 +121,49 @@ class TestVdbKernels:
             gc.collect()
             assert alive() is None
 
+    @pytest.mark.parametrize("value", [0.5, "1/2", None])
+    def test_exact_term_of_another_type_names_kernel_pair_and_value(
+            self, value):
+        kernel = VdbKernel("x", lambda x, y: value, exact=True)
+        with pytest.raises(ValueError,
+                           match=rf"^exact kernel 'x': F\(1, 2\) = "
+                                 rf"{value!r} is neither an int nor a "
+                                 rf"Fraction$"):
+            vdb_index(path(4), kernel)
+
+    def test_exact_terms_may_be_ints(self):
+        kernel = VdbKernel("ones", lambda x, y: 1, exact=True)
+        assert vdb_index(path(4), kernel) == IndexValue(3.0, Fraction(3))
+
+    @pytest.mark.parametrize("term", [
+        lambda x, y: math.nan,
+        lambda x, y: math.inf,
+        # 2 * 1e308 overflows to inf in the product
+        lambda x, y: 1e308,
+        # 2 * 6e307 and 1e308 are finite; their sum overflows inside fsum
+        lambda x, y: 1e308 if x == y else 6e307,
+        # inf - inf, which fsum refuses
+        lambda x, y: math.inf if x == y else -math.inf,
+    ], ids=["nan", "inf", "product-overflow", "sum-overflow", "inf-minus-inf"])
+    def test_float_sum_that_is_not_finite_names_kernel(self, term):
+        with pytest.raises(ValueError,
+                           match=r"^kernel 'w': the sum of its terms is not "
+                                 r"finite$"):
+            vdb_index(path(4), VdbKernel("w", term))
+
+    def test_builtin_kernels_pass_both_checks(self):
+        # high degrees and many degree pairs: every built-in sum stays as
+        # the per-edge definition gives it
+        rng = random.Random(29)
+        for g in (star(300), path(2), random_graph(rng, 60, 0.5),
+                  random_tree(rng, 200)):
+            for name, kernel in KERNELS.items():
+                value, want = vdb_index(g, kernel), index_by_definition(g, name)
+                if kernel.exact:
+                    assert value.exact == want, name
+                else:
+                    assert math.isclose(value.approx, want, rel_tol=1e-12)
+
     def test_first_zagreb_on_path(self):
         # per-edge degree sums: (1+2) + (2+2) + (2+1)
         assert vdb_index(path(4), KERNELS["m1"]).exact == 10
