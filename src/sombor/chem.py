@@ -98,19 +98,27 @@ def alkane_to_smiles(g: Graph) -> str:
         shape = canonical_shape(g)
     except ValueError:  # not a tree
         raise ValueError("not a molecular tree") from None
+    return _write(shape)
+
+
+def _write(shape: Shape) -> str:
+    """SMILES of a shape, written from an explicit stack so that a shape
+    of any depth is written.  The stack holds each atom still to write
+    with the text that goes before it: ")" closes the previous sibling's
+    branch, and "(" opens the atom's own unless it is the last sibling."""
     out: list[str] = []
-    _write(shape, out)
+    stack = [("C", shape)]
+    while stack:
+        atom, shape = stack.pop()
+        out.append(atom)
+        if len(shape) > 1:
+            stack.append((")C", shape[-1]))
+            for child in shape[-2:0:-1]:
+                stack.append((")(C", child))
+            stack.append(("(C", shape[0]))
+        elif shape:
+            stack.append(("C", shape[0]))
     return "".join(out)
-
-
-def _write(shape: Shape, out: list[str]) -> None:
-    out.append("C")
-    for child in shape[:-1]:
-        out.append("(")
-        _write(child, out)
-        out.append(")")
-    if shape:
-        _write(shape[-1], out)
 
 
 @dataclass(frozen=True)

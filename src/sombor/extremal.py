@@ -9,11 +9,12 @@ trees the maximum depends on n mod 4 and is attained by four families,
 one per residue class, given by their signatures in ``FAMILIES``.  Each
 closed form is the sum over its signature, and membership is a
 comparison of edge-type counts with it.  This module also builds
-canonical family members, solves the six counting identities of a
-molecular tree, and cross-checks everything against exhaustive
-enumeration: one pass over the free trees of each order, with so2
-evaluated exactly on canonical shapes and only the attainers built as
-graphs.
+canonical family members and solves the six counting identities of a
+molecular tree; it checks that a profile has n - 1 edges and no
+isolated vertex, and the solution is then the profile's own counts.
+It cross-checks everything against exhaustive enumeration: one pass
+over the free trees of each order, with so2 evaluated exactly on
+canonical shapes and only the attainers built as graphs.
 """
 
 from __future__ import annotations
@@ -70,8 +71,12 @@ class FamilySignature:
     """Edge-type signature of one extremal family of molecular trees.
 
     Every m_ij prescribed by the family has the form (a*n + b) / 2; all
-    other edge types are absent.  A signature is realizable only when
-    n is congruent to ``residue`` mod 4 and n >= ``min_n``.
+    other edge types are absent.  The signature applies only when n is
+    congruent to ``residue`` mod 4.  ``min_n`` is the smallest such n
+    from which ``build_family_member`` builds a member; a smaller tree
+    may still carry the signature (family 0's is realized at n = 8 by
+    the double star, which ``verify_extremal_bounds`` reports as
+    degenerate).
     """
 
     residue: int
@@ -219,8 +224,13 @@ def solve_degree_system(profile: EdgeTypeProfile) -> SolvedDegreeSystem:
     incidence identity per degree class.  They are solved one at a time
     for n_3, n_4, n_1, n_2, m_14 and m_24, each an affine combination of
     n and the seven counts m_12, m_13, m_22, m_23, m_33, m_34, m_44.
-    Profiles that make any solution negative or fractional cannot come
-    from a molecular tree and raise ``InconsistentProfileError``.
+
+    The system assumes a tree, so the profile must have degrees in 1..4,
+    no leaf-leaf edge, no vertex of degree 0 and exactly n - 1 edges;
+    any other profile raises ``InconsistentProfileError``.  Then the six
+    relations are the profile's own incidence identities and its vertex
+    and edge counts, so the solution is the profile's own m_14, m_24
+    and n_1..n_4.
     """
     for (i, j) in profile.m:
         if not (1 <= i <= 4 and 1 <= j <= 4):
@@ -228,14 +238,11 @@ def solve_degree_system(profile: EdgeTypeProfile) -> SolvedDegreeSystem:
     if profile.count(1, 1):
         raise InconsistentProfileError(
             "leaf-leaf edge: the system models molecular trees on >= 3 vertices")
-    out = []
-    for name, value in zip(SolvedDegreeSystem._fields,
-                           _solve(profile.n, profile.m)):
-        if value.denominator != 1 or value < 0:
-            raise InconsistentProfileError(
-                f"{name} = {value} is not a nonnegative integer")
-        out.append(int(value))
-    return SolvedDegreeSystem(*out)
+    if profile.degree_counts.get(0) or profile.edge_count != profile.n - 1:
+        raise InconsistentProfileError(
+            f"{profile.edge_count} edges on {profile.n} vertices, "
+            f"{profile.degree_counts.get(0, 0)} isolated: not a tree on >= 2 vertices")
+    return SolvedDegreeSystem(*map(int, _solve(profile.n, profile.m)))
 
 
 def _so2_eliminated(n: int, m: EdgeCounts) -> Fraction:
@@ -251,8 +258,10 @@ def so2_via_degree_system(profile: EdgeTypeProfile) -> Fraction:
     This is the residue-free maximum (126n - 30)/170 minus a penalty per
     off-optimal edge: 36/85 per 1-2, 11/85 per 1-3, 63/85 per 2-2, 58/221
     per 2-3, 47/85 per 3-3, 96/425 per 3-4 and 39/85 per 4-4.  Agrees
-    exactly with ``so2_from_profile`` on every molecular-tree profile;
-    a profile the system cannot model raises the
+    exactly with ``so2_from_profile`` on every profile that
+    ``solve_degree_system`` accepts (degrees in 1..4, no leaf-leaf edge,
+    no vertex of degree 0, n - 1 edges), since m_14 and m_24 are then
+    the profile's own; any other profile raises the
     ``InconsistentProfileError`` that ``solve_degree_system`` raises.
     """
     solve_degree_system(profile)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from sombor.chem import (DatasetError, MoleculeRecord, SmilesError,
                          alkane_to_smiles, load_dataset, octane_dataset_path,
                          parse_alkane_smiles, so2_table)
-from sombor.enumeration import enumerate_molecular_trees
-from sombor.graphs import degrees, is_molecular_tree
+from sombor.enumeration import canonical_shape, enumerate_molecular_trees
+from sombor.graphs import Graph, degrees, is_molecular_tree
 from sombor.indices import so2
 
 from helpers import ahu_canonical, molecular_trees, shuffled_copy
@@ -105,6 +105,27 @@ class TestSmilesWriting:
         assert is_molecular_tree(g)
         back = parse_alkane_smiles(alkane_to_smiles(g))
         assert ahu_canonical(back) == ahu_canonical(g)
+
+    def test_branches_follow_the_shape_order(self):
+        # the recursive definition: the atom, then its branches in the
+        # shape's order, each but the last in parentheses
+        def written(shape):
+            return "C" + "".join(f"({written(child)})" for child in shape[:-1]) \
+                + (written(shape[-1]) if shape else "")
+        for n in range(1, 13):
+            for g in enumerate_molecular_trees(n):
+                assert alkane_to_smiles(g) == written(canonical_shape(g))
+
+    def test_writes_a_shape_deeper_than_the_recursion_limit(self):
+        # a 2,500-carbon spine with one more carbon on each of its first
+        # 600: its canonical shape is 1,551 levels deep.  Strings
+        # are compared, since == on deep shapes recurses.
+        g = Graph.from_edges(3100, [(i, i + 1) for i in range(2499)]
+                             + [(i, 2500 + i) for i in range(600)])
+        s = alkane_to_smiles(g)
+        assert s.count("C") == 3100
+        assert alkane_to_smiles(parse_alkane_smiles(s)) == s
+        assert alkane_to_smiles(shuffled_copy(g, random.Random(3100))) == s
 
     def test_rejects_non_molecular(self):
         from sombor.graphs import Graph

@@ -12,7 +12,7 @@ from sombor.extremal import (FAMILIES, InconsistentProfileError,
                              is_in_family, molecular_so2_max,
                              solve_degree_system, so2_via_degree_system,
                              tree_so2_bounds, verify_extremal_bounds)
-from sombor.graphs import EdgeTypeProfile, degrees, edge_type_profile
+from sombor.graphs import EdgeTypeProfile, Graph, degrees, edge_type_profile
 from sombor.indices import so2, so2_from_profile
 
 from helpers import (molecular_trees, random_tree,
@@ -230,6 +230,40 @@ class TestDegreeSystem:
             assert tuple(map(Fraction, solved)) == \
                 solve_degree_system_by_elimination(p)
 
+    def test_refuses_molecular_graphs_with_cycles(self):
+        # a molecular tree plus c edges between vertices of degree < 4;
+        # with four cycles the solved counts can all be nonnegative
+        # integers (n4 comes out short by c / 4), so only the edge count
+        # tells such a graph from a tree
+        rng = random.Random(2501)
+        for c in range(1, 6):
+            made = 0
+            while made < 60:
+                n = rng.randint(c + 3, 16)
+                g = random_tree(rng, n, max_degree=4)
+                edges, deg = set(g.edges()), degrees(g)
+                for _ in range(c):
+                    free = [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if deg[u] < 4 and deg[v] < 4
+                            and (u, v) not in edges]
+                    if not free:
+                        break
+                    u, v = rng.choice(free)
+                    edges.add((u, v))
+                    deg[u] += 1
+                    deg[v] += 1
+                if len(edges) != n - 1 + c:
+                    continue
+                made += 1
+                p = edge_type_profile(Graph.from_edges(n, edges))
+                expected = f"^{n - 1 + c} edges on {n} vertices, 0 isolated"
+                with pytest.raises(InconsistentProfileError,
+                                   match=expected) as solver:
+                    solve_degree_system(p)
+                with pytest.raises(InconsistentProfileError,
+                                   match=f"^{re.escape(str(solver.value))}$"):
+                    so2_via_degree_system(p)
+
 
 # so2 lost per edge of each off-optimal type, against the all-(1,4)/(2,4)
 # molecular tree of the same order
@@ -262,7 +296,13 @@ class TestReducedForm:
         edge_type_profile(build_star(6)),  # a degree-5 vertex; so2 60/13
         edge_type_profile(build_path(2)),  # a leaf-leaf edge; so2 0
         EdgeTypeProfile(m={(2, 2): 4}, degree_counts={2: 4}, n=4),  # C4
-    ], ids=["star6", "path2", "cycle4"])
+        # four independent cycles whose solved counts are all nonnegative
+        # integers; so2 3878/425, but the system's m14 is 8, not 2
+        edge_type_profile(Graph.from_edges(14, [
+            (0, 1), (0, 8), (1, 2), (1, 3), (1, 7), (2, 4), (2, 13), (3, 5),
+            (5, 6), (5, 9), (5, 11), (6, 10), (8, 13), (9, 10), (10, 12),
+            (10, 13), (11, 13)])),
+    ], ids=["star6", "path2", "cycle4", "four_cycles"])
     def test_refuses_what_the_system_cannot_model(self, profile):
         with pytest.raises(InconsistentProfileError) as solver:
             solve_degree_system(profile)
