@@ -27,6 +27,10 @@ once: one BFS from vertex 0 and one bottom-up pass give each vertex its
 branch, then the root descends from vertex 0 to a centroid, rerooting
 each vertex it leaves as a branch of the next.
 
+Every enumeration -- the ``Graph`` streams, the counts and the so2
+scan -- starts at ``_trees``, which checks the order once, against 1
+and ``enumeration_cap()``, before any table is read or built.
+
 A maximum-degree cap is applied while generating (branch nodes get at
 most cap-1 children, the centroid at most cap), so restricting to
 molecular trees (degree <= 4) never touches the larger unrestricted
@@ -255,7 +259,11 @@ def _pairs(children: Sequence[_Carried], halves: Sequence[_Part]
 def _trees(n: int, max_degree: Optional[int]) -> Iterator[_Carried]:
     """Every tree on n vertices with degrees at most `max_degree`, once
     per isomorphism class, in a fixed order, as the shapes of vertex 0's
-    branches with their carried sums (see `_Carried`)."""
+    branches with their carried sums (see `_Carried`).  The one door to
+    every enumeration: it refuses an order below 1 or over the cap
+    before any table is read or built, and, being no generator itself,
+    at once when called."""
+    _check_n(n)
     root_cap = n - 1 if max_degree is None else max_degree
     *_, children, parts = _tables(n, max_degree)
     # unique-centroid trees: all branches strictly smaller than n/2
@@ -377,21 +385,18 @@ def _check_n(n: int) -> None:
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """Stream every free tree on n vertices, one per isomorphism class."""
-    _check_n(n)
     return (_graph(n, tree) for _, _, tree in _trees(n, None))
 
 
 def enumerate_molecular_trees(n: int) -> Iterator[Graph]:
     """Stream every tree on n vertices with maximum degree at most four,
     one per isomorphism class."""
-    _check_n(n)
     return (_graph(n, tree) for _, _, tree in _trees(n, MOLECULAR_MAX_DEGREE))
 
 
 def count_trees(n: int, *, molecular: bool = False) -> int:
     """Number of trees `enumerate_trees` (or, with `molecular`,
     `enumerate_molecular_trees`) streams, counted without building them."""
-    _check_n(n)
     max_degree = MOLECULAR_MAX_DEGREE if molecular else None
     return sum(1 for _ in _trees(n, max_degree))
 
@@ -409,14 +414,14 @@ def so2_extremes(n: int, *, molecular: bool = False) -> So2Extremes:
     """Minimum and maximum of so2 over the trees on n vertices (with
     `molecular`, over the molecular ones only), and its maximum over the
     molecular ones (degree <= 4), all from a single pass."""
-    _check_n(n)
     max_degree = MOLECULAR_MAX_DEGREE if molecular else None
+    trees = _trees(n, max_degree)  # refuses a bad n before any table
     scale, root_terms, _, _ = _tables(n, max_degree)
     # running extremes of the scaled values (all >= 0) and their
     # attainers in stream order
     low, high, high_molecular = math.inf, -1, -1
     lows, highs, highs_molecular = [], [], []
-    for so2, code, tree in _trees(n, max_degree):
+    for so2, code, tree in trees:
         value = so2 + root_terms[code]
         if value <= low:
             if value < low:

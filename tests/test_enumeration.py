@@ -309,6 +309,33 @@ class TestCap:
                                                  "positive$"):
                 enumerate_trees(1)
 
+    ENTRIES = (enumerate_trees, enumerate_molecular_trees, count_trees,
+               so2_extremes, argmax_so2, argmin_so2)
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda f: f.__name__)
+    def test_every_entry_refuses_before_any_table(self, entry, monkeypatch):
+        # `_trees` checks the order before it reads or builds a table
+        def no_table(*key):
+            raise AssertionError(f"table {key} asked for a refused order")
+
+        monkeypatch.setenv("SOMBOR_MAX_N", "8")
+        monkeypatch.setattr("sombor.enumeration._tables", no_table)
+        with pytest.raises(ValueError,
+                           match="^n=9 exceeds the enumeration cap 8$"):
+            entry(9)
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            entry(0)
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda f: f.__name__)
+    def test_a_cached_table_does_not_lift_the_cap(self, entry, monkeypatch):
+        monkeypatch.setenv("SOMBOR_MAX_N", "9")
+        for max_degree in (None, 4):
+            _tables(9, max_degree)
+        monkeypatch.setenv("SOMBOR_MAX_N", "8")
+        with pytest.raises(ValueError,
+                           match="^n=9 exceeds the enumeration cap 8$"):
+            entry(9)
+
 
 class TestExtremes:
     def test_molecular_maxima(self):
